@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK = honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test verify lint paperlint lint-extra bench bench-trace bench-kernels bench-shard bench-walk bench-report golden golden-update paper
+.PHONY: all build test verify lint paperlint lint-extra bench bench-report golden golden-update paper
 
 all: build
 
@@ -23,9 +23,8 @@ test:
 # stale-suppression audit. Zero tolerance: any unsuppressed diagnostic
 # fails the build. deprcheck subsumes the old grep-based
 # deprecation-gate target: uses of Deprecated-marked identifiers
-# (tlb.Config.SmallShift/LargeShift and friends) outside their defining
-# package are findings, resolved by object so same-named current fields
-# (policy.TwoSizeConfig.LargeShift) are untouched.
+# outside their defining package are findings, resolved by object so
+# same-named current fields are untouched.
 paperlint:
 	$(GO) run ./cmd/paperlint ./...
 
@@ -54,41 +53,19 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 
-# bench runs every benchmark in benchstat-friendly form: no unit tests
-# mixed in (-run '^$'), allocation counts on, and repeated samples so
-# `benchstat old.txt new.txt` has variance to work with.
-# Usage: make bench | tee new.txt
-COUNT ?= 6
+# bench runs the repository benchmark (simbench/, declared in
+# BENCHMARK.json) once over each of its four workloads at seed 0:
+# end-to-end host cost per reference, 20 s per workload. Each run
+# prints its metrics and ends with a JSON line whose "correct" field
+# reports whether every pass matched its pinned counters; a run that is
+# not correct fails the target. See simbench/README.md for the metrics
+# and the per-layer (--trace 1) mode.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(COUNT) ./...
-
-# bench-trace regenerates BENCH_trace.json: v1-vs-v2 trace size and
-# decode throughput over the real workload generators.
-bench-trace:
-	$(GO) test -run TestTraceBenchReport -tracebench -count 1 .
-
-# bench-kernels regenerates BENCH_kernels.json: the converted hot-state
-# kernels (internal/htab and the arena page table) against their
-# pre-conversion Go-map baselines (internal/kernelref), plus the
-# end-to-end experiment-suite wall time at a fixed scale.
-bench-kernels:
-	$(GO) test -run TestKernelBenchReport -kernelbench -count 1 .
-
-# bench-shard regenerates BENCH_shard.json: sharded-vs-serial wall time
-# per shard count plus the residual miss error after warm-up (DESIGN.md
-# §10). Speedup is capped by the core count; on a one-CPU box the
-# sharded rows are expected to come out slower than serial.
-SHARD_BENCH_REFS ?= 400000
-bench-shard:
-	$(GO) test -run TestShardBenchReport -shardbench -shardbenchrefs $(SHARD_BENCH_REFS) -count 1 .
-
-# bench-walk regenerates BENCH_walk.json: simulator throughput and the
-# emergent cycles-per-walk for the flat 25-cycle penalty against the
-# modeled multi-level walk (DESIGN.md §12), with and without page-walk
-# caches. The cycle columns are deterministic; only the timings churn.
-WALK_BENCH_REFS ?= 400000
-bench-walk:
-	$(GO) test -run TestWalkBenchReport -walkbench -walkbenchrefs $(WALK_BENCH_REFS) -count 1 .
+	@for w in worm-two-walk matrix300-single tomcatv-ladder3-churn paper-suite; do \
+		out=$$(bash simbench/run.sh --workload $$w --seed 0 --seconds 20 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -qF '"correct":true' || { echo "bench: $$w is not correct" >&2; exit 1; }; \
+	done
 
 # bench-report regenerates BENCH_run.json: the full experiment suite's
 # run report (internal/obs schema) at a reduced scale. The counter

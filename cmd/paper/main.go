@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -118,6 +119,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// The serial pass has no warm-up phase; silently ignoring the
 		// flag would report cold-state metrics as if they were warm.
 		fmt.Fprintln(stderr, "paper: -warmup requires -shards > 1 (the serial pass replays no warm-up)")
+		return 2
+	}
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+		fmt.Fprintf(stderr, "paper: -scale must be a finite positive number, got %g\n", *scale)
 		return 2
 	}
 

@@ -87,6 +87,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "tlbsim: -warmup requires -shards > 1 (the serial pass replays no warm-up)")
 		return 2
 	}
+	if !addr.PageSize(*pageSize).Valid() {
+		fmt.Fprintf(stderr, "tlbsim: -pagesize must be a power of two, got %d\n", *pageSize)
+		return 2
+	}
 
 	if *list {
 		for _, s := range workload.All() {
@@ -207,18 +211,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "tlbsim: -wss supports only the two-size policy")
 			return 1
 		}
-		polT = *window
-		if polT == 0 {
-			polT = int(nRefs / 8)
+		if polT, code = policyWindow(*window, nRefs, stderr); code != 0 {
+			return code
 		}
 		cfg := policy.DefaultLadderConfig(polT, classes)
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(stderr, "tlbsim: -sizes: %v\n", err)
+			return 2
+		}
 		newPolicy = func() policy.Assigner { return policy.NewLadder(cfg) }
 	case *two:
-		polT = *window
-		if polT == 0 {
-			polT = int(nRefs / 8)
+		if polT, code = policyWindow(*window, nRefs, stderr); code != 0 {
+			return code
 		}
 		cfg := policy.TwoSizeConfig{T: polT, Threshold: *thresh, Demote: true, LargeShift: addr.Shift32K}
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(stderr, "tlbsim: -threshold: %v\n", err)
+			return 2
+		}
 		newPolicy = func() policy.Assigner { return policy.NewTwoSize(cfg) }
 	default:
 		if *wss {
@@ -383,4 +393,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
+}
+
+// policyWindow returns the policy window: -T, or refs/8 when -T is 0.
+// A window that is not positive, typed or derived, is a usage error
+// (exit 2) rather than a constructor panic.
+func policyWindow(t int, refs uint64, stderr io.Writer) (int, int) {
+	if t == 0 {
+		t = int(refs / 8)
+		if t <= 0 {
+			fmt.Fprintf(stderr, "tlbsim: -T defaults to refs/8, which is 0 for %d refs; set -T or -refs\n", refs)
+			return 0, 2
+		}
+	}
+	if t < 0 {
+		fmt.Fprintf(stderr, "tlbsim: -T must be positive, got %d\n", t)
+		return 0, 2
+	}
+	return t, 0
 }

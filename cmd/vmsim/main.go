@@ -86,7 +86,12 @@ func main() {
 		if T == 0 {
 			T = int(n / 8)
 		}
-		pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
+		pcfg := policy.DefaultTwoSizeConfig(T)
+		if err := pcfg.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "vmsim: -T (0 means refs/8): %v\n", err)
+			os.Exit(2)
+		}
+		pol = policy.NewTwoSize(pcfg)
 	} else {
 		pol = policy.NewSingle(addr.Size4K)
 	}

@@ -145,6 +145,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			T = n / 8
 		}
 	}
+	if T == 0 {
+		fmt.Fprintf(stderr, "wsssim: -T defaults to refs/8, which is 0 for %d refs; set -T or -refs\n", n)
+		return 2
+	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {

@@ -1,6 +1,7 @@
 package twopage_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -155,6 +156,57 @@ func TestCommandLineTools(t *testing.T) {
 				}
 				if !strings.Contains(out, "-warmup") {
 					t.Errorf("error does not name the -warmup flag:\n%s", out)
+				}
+			})
+		}
+	})
+
+	// Values a user can type that used to end in a Go panic (or, for
+	// -scale NaN, a run that never finished): each must exit 2 with a
+	// one-line message naming the flag, and no goroutine dump.
+	t.Run("bad-values-exit-2", func(t *testing.T) {
+		cases := []struct {
+			name, cmd, flag string
+			args            []string
+		}{
+			{"derived-T-zero", "tlbsim", "-T", []string{"-workload", "li", "-refs", "1", "-two"}},
+			{"negative-T", "tlbsim", "-T", []string{"-workload", "li", "-refs", "50000", "-two", "-T", "-5"}},
+			{"threshold-zero", "tlbsim", "-threshold", []string{"-workload", "li", "-refs", "50000", "-two", "-threshold", "0"}},
+			{"threshold-above", "tlbsim", "-threshold", []string{"-workload", "li", "-refs", "50000", "-two", "-threshold", "99"}},
+			{"pagesize-not-pow2", "tlbsim", "-pagesize", []string{"-workload", "li", "-refs", "50000", "-pagesize", "3000"}},
+			{"ladder-negative-T", "tlbsim", "-T", []string{"-workload", "li", "-refs", "50000", "-ladder", "-sizes", "4096,32768", "-T", "-3"}},
+			{"vmsim-derived-T-zero", "vmsim", "-T", []string{"-workload", "li", "-refs", "1", "-two"}},
+			{"vmsim-negative-T", "vmsim", "-T", []string{"-workload", "li", "-refs", "50000", "-two", "-T", "-5"}},
+			{"wsssim-derived-T-zero", "wsssim", "-T", []string{"-workload", "li", "-refs", "1"}},
+			{"scale-negative", "paper", "-scale", []string{"-scale", "-1", "-workloads", "li", "table3.1"}},
+			{"scale-zero", "paper", "-scale", []string{"-scale", "0", "-workloads", "li", "table3.1"}},
+			{"scale-nan", "paper", "-scale", []string{"-scale", "NaN", "-workloads", "li", "table3.1"}},
+			{"scale-inf", "paper", "-scale", []string{"-scale", "+Inf", "-workloads", "li", "table3.1"}},
+		}
+		bins := map[string]string{}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				if bins[tc.cmd] == "" {
+					bins[tc.cmd] = buildCmd(t, dir, tc.cmd)
+				}
+				// A deadline, so a value that makes the run hang fails
+				// the case instead of stalling the suite.
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				b, err := exec.CommandContext(ctx, bins[tc.cmd], tc.args...).CombinedOutput()
+				out := string(b)
+				var ee *exec.ExitError
+				if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+					t.Fatalf("%v: %v, want exit 2\n%s", tc.args, err, out)
+				}
+				if !strings.Contains(out, tc.flag) {
+					t.Errorf("error does not name the %s flag:\n%s", tc.flag, out)
+				}
+				if strings.Contains(out, "goroutine") {
+					t.Errorf("output carries a goroutine dump:\n%s", out)
+				}
+				if n := strings.Count(strings.TrimSpace(out), "\n"); n != 0 {
+					t.Errorf("want a one-line message, got %d lines:\n%s", n+1, out)
 				}
 			})
 		}

@@ -389,37 +389,48 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 		out.Walk = &ws
 		applyWalkResult(out)
 	}
-	out.Counters = obs.Counters{Passes: 1, Refs: refs, Instrs: instrs}
-	for _, tr := range out.TLBs {
-		out.Counters.Add(tr.Stats.Counters())
-	}
-	if out.PolicyStats != nil {
-		out.Counters.Promotions = out.PolicyStats.Promotions
-		out.Counters.Demotions = out.PolicyStats.Demotions
-	}
-	if ls := out.LadderStats; ls != nil {
-		out.Counters.Promotions = ls.Promotions[1]
-		out.Counters.Demotions = ls.Demotions[1]
-		out.Counters.PromotionsSize2 = ls.Promotions[2]
-		out.Counters.PromotionsSize3 = ls.Promotions[3]
-		out.Counters.DemotionsSize2 = ls.Demotions[2]
-		out.Counters.DemotionsSize3 = ls.Demotions[3]
-	}
-	if pt := out.PageTable; pt != nil {
-		out.Counters.PTWalks = pt.Lookups
-		out.Counters.Faults = pt.Misses
-		out.Counters.CopiedBytes = pt.CopiedBytes
-	}
-	if ws := out.Walk; ws != nil {
-		out.Counters.WalkCycles = ws.Cycles
-		out.Counters.WalkLoads = ws.Loads()
-		out.Counters.WalkPWCHits = ws.PWCHits()
-		out.Counters.WalkPWCMisses = ws.PWCMisses()
-		out.Counters.WalkMemHits = ws.MemHits
-		out.Counters.WalkMemMisses = ws.MemMisses
-	}
+	out.Counters = resultCounters(out)
 	out.Counters.Add(DecodeCounters(r))
 	return out, nil
+}
+
+// resultCounters assembles the run-report counter block from a finished
+// result's stats: one logical pass, the TLB counters, the policy's
+// transitions, and the page-table and walk totals. Run and MergeResults
+// share it, so a merged report is built exactly like a serial one. The
+// decode counters are left to the caller: Run reads them from its
+// reader, MergeResults sums them over the shards.
+func resultCounters(out *Result) obs.Counters {
+	c := obs.Counters{Passes: 1, Refs: out.Refs, Instrs: out.Instrs}
+	for _, tr := range out.TLBs {
+		c.Add(tr.Stats.Counters())
+	}
+	if ps := out.PolicyStats; ps != nil {
+		c.Promotions = ps.Promotions
+		c.Demotions = ps.Demotions
+	}
+	if ls := out.LadderStats; ls != nil {
+		c.Promotions = ls.Promotions[1]
+		c.Demotions = ls.Demotions[1]
+		c.PromotionsSize2 = ls.Promotions[2]
+		c.PromotionsSize3 = ls.Promotions[3]
+		c.DemotionsSize2 = ls.Demotions[2]
+		c.DemotionsSize3 = ls.Demotions[3]
+	}
+	if pt := out.PageTable; pt != nil {
+		c.PTWalks = pt.Lookups
+		c.Faults = pt.Misses
+		c.CopiedBytes = pt.CopiedBytes
+	}
+	if ws := out.Walk; ws != nil {
+		c.WalkCycles = ws.Cycles
+		c.WalkLoads = ws.Loads()
+		c.WalkPWCHits = ws.PWCHits()
+		c.WalkPWCMisses = ws.PWCMisses()
+		c.WalkMemHits = ws.MemHits
+		c.WalkMemMisses = ws.MemMisses
+	}
+	return c
 }
 
 // applyWalkResult derives the walk-mode metrics from Result.Walk: the

@@ -118,7 +118,7 @@ func TestPromotionInvalidatesSmallEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.TLBs[0].Stats
-	if st.SmallMisses() != 3 || st.LargeMisses() != 1 || st.LargeHits() != 1 {
+	if st.MissesByClass[0] != 3 || st.MissesByClass[1] != 1 || st.HitsByClass[1] != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.Invalidations != 3 {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"twopage/internal/metrics"
-	"twopage/internal/obs"
-	"twopage/internal/policy"
-)
+import "twopage/internal/metrics"
 
 // MergeResults folds per-shard simulation results, given in section
 // order, into the Result a single pass over the concatenated stream
@@ -134,68 +130,16 @@ func MergeResults(parts []*Result) *Result {
 		applyWalkResult(out)
 	}
 
-	// Rebuild the run-report block from the merged stats — the same
-	// assembly Run performs — rather than summing the parts' blocks, so
-	// the merged report is structurally identical to a serial pass (one
-	// logical pass, gauges not multiply counted). Decode work is the one
-	// genuinely per-shard quantity, so it sums from the parts.
-	out.Counters = obs.Counters{Passes: 1, Refs: out.Refs, Instrs: out.Instrs}
-	for _, tr := range out.TLBs {
-		out.Counters.Add(tr.Stats.Counters())
-	}
-	if out.PolicyStats != nil {
-		out.Counters.Promotions = out.PolicyStats.Promotions
-		out.Counters.Demotions = out.PolicyStats.Demotions
-	}
-	if ls := out.LadderStats; ls != nil {
-		out.Counters.Promotions = ls.Promotions[1]
-		out.Counters.Demotions = ls.Demotions[1]
-		out.Counters.PromotionsSize2 = ls.Promotions[2]
-		out.Counters.PromotionsSize3 = ls.Promotions[3]
-		out.Counters.DemotionsSize2 = ls.Demotions[2]
-		out.Counters.DemotionsSize3 = ls.Demotions[3]
-	}
-	if pt := out.PageTable; pt != nil {
-		out.Counters.PTWalks = pt.Lookups
-		out.Counters.Faults = pt.Misses
-		out.Counters.CopiedBytes = pt.CopiedBytes
-	}
-	if ws := out.Walk; ws != nil {
-		out.Counters.WalkCycles = ws.Cycles
-		out.Counters.WalkLoads = ws.Loads()
-		out.Counters.WalkPWCHits = ws.PWCHits()
-		out.Counters.WalkPWCMisses = ws.PWCMisses()
-		out.Counters.WalkMemHits = ws.MemHits
-		out.Counters.WalkMemMisses = ws.MemMisses
-	}
+	// Rebuild the run-report block from the merged stats, as Run does,
+	// rather than summing the parts' blocks, so the merged report is
+	// structurally identical to a serial pass (one logical pass, gauges
+	// not multiply counted). Decode work is the one genuinely per-shard
+	// quantity, so it sums from the parts.
+	out.Counters = resultCounters(out)
 	for _, p := range live {
 		out.Counters.DecodedRefs += p.Counters.DecodedRefs
 		out.Counters.DecodedBlocks += p.Counters.DecodedBlocks
 		out.Counters.DecodedBytes += p.Counters.DecodedBytes
-	}
-	return out
-}
-
-// MergeWSSResults folds per-shard two-size working-set results into the
-// sample-weighted global average. Static working sets merge exactly via
-// wss.MergeStatic instead; this weighted form is for the dynamic scheme,
-// whose window state cannot be decomposed exactly across shards.
-func MergeWSSResults(parts []policy.TwoSizeStats) policy.TwoSizeStats {
-	var out policy.TwoSizeStats
-	for i, p := range parts {
-		if i == 0 {
-			out = p
-			continue
-		}
-		out.Merge(p)
-	}
-	if n := len(parts); n > 0 {
-		for i := n - 1; i >= 0; i-- {
-			if parts[i].Refs > 0 {
-				out.LargeChunks = parts[i].LargeChunks
-				break
-			}
-		}
 	}
 	return out
 }

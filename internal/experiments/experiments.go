@@ -526,13 +526,3 @@ func (r *Runner) RunAll(ctx context.Context, ids ...string) error {
 	}
 	return nil
 }
-
-// Run executes the experiment and writes its table to o.Out.
-//
-// Deprecated: use NewRunner(opts...).Run(ctx, id), which shares an
-// engine across runs and honours cancellation. Kept so struct-literal
-// call sites keep compiling during the migration.
-func Run(id string, o Options) error {
-	o.normalize()
-	return (&Runner{opts: &o}).Run(context.Background(), id)
-}

@@ -12,9 +12,9 @@ func benchKeys(n int, space uint64) []uint64 {
 	return kernelref.Keys(n, space)
 }
 
-// The microbench pairs compare one htab operation against the same
-// operation on a Go map, on identical key streams. They back the
-// "htab_*" rows of BENCH_kernels.json.
+// The microbenchmarks time one htab operation each on the shared key
+// stream. They are local evidence only; the repository benchmark is
+// simbench, which counts htab inside the layers that call it.
 
 func BenchmarkU64Put(b *testing.B) {
 	keys := benchKeys(1<<16, 1<<14)
@@ -23,16 +23,6 @@ func BenchmarkU64Put(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Put(keys[i&(1<<16-1)], uint64(i))
-	}
-}
-
-func BenchmarkGoMapPut(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<14)
-	m := make(map[uint64]uint64, 1<<14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m[keys[i&(1<<16-1)]] = uint64(i)
 	}
 }
 
@@ -48,21 +38,6 @@ func BenchmarkU64Get(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v, _ := h.Get(keys[i&(1<<16-1)])
 		sink += v
-	}
-	_ = sink
-}
-
-func BenchmarkGoMapGet(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<14)
-	m := make(map[uint64]uint64, 1<<14)
-	for _, k := range keys {
-		m[k] = k
-	}
-	var sink uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += m[keys[i&(1<<16-1)]]
 	}
 	_ = sink
 }
@@ -84,21 +59,6 @@ func BenchmarkU64Churn(b *testing.B) {
 	}
 }
 
-func BenchmarkGoMapChurn(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<13)
-	m := make(map[uint64]uint64, 1<<13)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i&(1<<16-1)]
-		if i&1 == 0 {
-			m[k] = uint64(i)
-		} else {
-			delete(m, k)
-		}
-	}
-}
-
 func BenchmarkCounterAdd(b *testing.B) {
 	keys := benchKeys(1<<16, 1<<12)
 	c := NewCounter(1 << 12)
@@ -110,25 +70,6 @@ func BenchmarkCounterAdd(b *testing.B) {
 			c.Add(k, 1)
 		} else if c.Get(k) > 0 {
 			c.Add(k, -1)
-		}
-	}
-}
-
-func BenchmarkGoMapCounterAdd(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<12)
-	m := make(map[uint64]int64, 1<<12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i&(1<<16-1)]
-		if i&1 == 0 {
-			m[k]++
-		} else if m[k] > 0 {
-			if m[k] == 1 {
-				delete(m, k)
-			} else {
-				m[k]--
-			}
 		}
 	}
 }

@@ -1,19 +1,13 @@
-// Package kernelref holds the map-based reference implementations of
-// the per-reference simulation kernels, kept verbatim from before the
-// internal/htab conversion, plus the deterministic streams both sides
-// are benchmarked on.
-//
-// These are benchmark baselines, not production code: the package
-// benchmarks (internal/wss, internal/window, internal/pagetable) and
-// the BENCH_kernels.json generator (make bench-kernels) compare the
-// flat-table kernels against them on identical streams, so the
-// committed speedups always refer to the exact code that was replaced.
+// Package kernelref holds the deterministic reference streams that the
+// kernel tests run on: the allocation gates in internal/{core,pagetable,
+// window,wss} and the package microbenchmarks read them, so every
+// kernel is exercised on the same input from one run to the next.
 // Nothing in the simulation path imports this package.
 package kernelref
 
 import "twopage/internal/addr"
 
-// xorshift is the benchmark stream generator: deterministic, seeded,
+// xorshift is the stream generator: deterministic, seeded,
 // allocation-free.
 type xorshift uint64
 
@@ -84,184 +78,4 @@ func Keys(n int, space uint64) []uint64 {
 		out[i] = x.next() % space
 	}
 	return out
-}
-
-// MapStatic is the pre-htab working-set kernel (wss.Static before the
-// conversion): per page shift, a Go map from page number to last
-// access time.
-type MapStatic struct {
-	t      uint64
-	shifts []uint
-	last   []map[addr.PN]uint64
-	acc    []uint64
-	steps  uint64
-}
-
-// NewMapStatic mirrors wss.NewStatic.
-func NewMapStatic(T uint64, shifts ...uint) *MapStatic {
-	s := &MapStatic{
-		t:      T,
-		shifts: append([]uint(nil), shifts...),
-		last:   make([]map[addr.PN]uint64, len(shifts)),
-		acc:    make([]uint64, len(shifts)),
-	}
-	for i := range s.last {
-		s.last[i] = make(map[addr.PN]uint64)
-	}
-	return s
-}
-
-// Step mirrors the old wss.Static.Step.
-func (s *MapStatic) Step(va addr.VA) {
-	t := s.steps
-	s.steps++
-	for i, shift := range s.shifts {
-		pn := addr.Page(va, shift)
-		if lastT, ok := s.last[i][pn]; ok {
-			gap := t - lastT
-			if gap > s.t {
-				gap = s.t
-			}
-			s.acc[i] += gap
-		}
-		s.last[i][pn] = t
-	}
-}
-
-// MapTracker is the pre-htab sliding-window kernel (window.Tracker
-// before the conversion): Go maps for per-block reference counts and
-// per-chunk active-block counts.
-type MapTracker struct {
-	t      int
-	ring   []addr.PN
-	pos    int
-	filled bool
-
-	refCnt      map[addr.PN]int32
-	chunkActive map[addr.PN]int16
-	active      int
-}
-
-// NewMapTracker mirrors window.New.
-func NewMapTracker(T int) *MapTracker {
-	return &MapTracker{
-		t:           T,
-		ring:        make([]addr.PN, T),
-		refCnt:      make(map[addr.PN]int32),
-		chunkActive: make(map[addr.PN]int16),
-	}
-}
-
-func (w *MapTracker) chunkOf(b addr.PN) addr.PN {
-	return b >> (addr.ChunkShift - addr.BlockShift)
-}
-
-// ActiveBlocks mirrors window.Tracker.ActiveBlocks.
-func (w *MapTracker) ActiveBlocks() int { return w.active }
-
-// Step mirrors the old window.Tracker.Step (without hooks).
-func (w *MapTracker) Step(b addr.PN) {
-	if w.filled {
-		old := w.ring[w.pos]
-		if c := w.refCnt[old] - 1; c > 0 {
-			w.refCnt[old] = c
-		} else {
-			delete(w.refCnt, old)
-			w.active--
-			ch := w.chunkOf(old)
-			if n := w.chunkActive[ch] - 1; n > 0 {
-				w.chunkActive[ch] = n
-			} else {
-				delete(w.chunkActive, ch)
-			}
-		}
-	}
-	w.ring[w.pos] = b
-	w.pos++
-	if w.pos == w.t {
-		w.pos = 0
-		w.filled = true
-	}
-	if c := w.refCnt[b]; c > 0 {
-		w.refCnt[b] = c + 1
-		return
-	}
-	w.refCnt[b] = 1
-	w.active++
-	w.chunkActive[w.chunkOf(b)]++
-}
-
-// MapPTE mirrors pagetable.PTE without importing it (kernelref must
-// not depend on the package it baselines).
-type MapPTE struct {
-	Frame addr.PN
-	Valid bool
-	Large bool
-}
-
-type mapChunkEntry struct {
-	large    bool
-	largePTE MapPTE
-	blocks   *[addr.BlocksPerChunk]MapPTE
-}
-
-// MapTable is the pre-arena page table: a Go map from chunk number to
-// heap-allocated entries holding a pointer to the block array.
-type MapTable struct {
-	chunks map[addr.PN]*mapChunkEntry
-}
-
-// NewMapTable mirrors pagetable.New.
-func NewMapTable() *MapTable {
-	return &MapTable{chunks: make(map[addr.PN]*mapChunkEntry)}
-}
-
-// MapSmall mirrors the old pagetable.Table.MapSmall (success path).
-func (t *MapTable) MapSmall(b addr.PN, frame addr.PN) {
-	c := addr.ChunkOfBlock(b)
-	ce := t.chunks[c]
-	if ce == nil {
-		ce = &mapChunkEntry{blocks: new([addr.BlocksPerChunk]MapPTE)}
-		t.chunks[c] = ce
-	}
-	ce.blocks[addr.BlockIndex(b)] = MapPTE{Frame: frame, Valid: true}
-}
-
-// Lookup mirrors the old pagetable.Table.Lookup's table walk (without
-// the cycle accounting, identical on both sides of the comparison).
-func (t *MapTable) Lookup(va addr.VA) (MapPTE, bool) {
-	ce := t.chunks[addr.Chunk(va)]
-	if ce == nil {
-		return MapPTE{}, false
-	}
-	if ce.large {
-		return ce.largePTE, true
-	}
-	pte := ce.blocks[addr.BlockInChunk(va)]
-	return pte, pte.Valid
-}
-
-// Unmap mirrors the old pagetable.Table.Unmap.
-func (t *MapTable) Unmap(va addr.VA) bool {
-	c := addr.Chunk(va)
-	ce := t.chunks[c]
-	if ce == nil {
-		return false
-	}
-	if ce.large {
-		delete(t.chunks, c)
-		return true
-	}
-	i := addr.BlockInChunk(va)
-	if !ce.blocks[i].Valid {
-		return false
-	}
-	ce.blocks[i] = MapPTE{}
-	for _, pte := range ce.blocks {
-		if pte.Valid {
-			return true
-		}
-	}
-	delete(t.chunks, c)
-	return true
 }

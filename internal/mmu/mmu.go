@@ -114,10 +114,6 @@ type Stats struct {
 	// 1 = 32KB chunks; higher classes stay zero while the MMU supports
 	// only the paper's two sizes).
 	EvictionsByClass [addr.MaxSizeClasses]uint64
-	// LargeEvictions mirrors EvictionsByClass[1].
-	//
-	// Deprecated: read EvictionsByClass[1] instead.
-	LargeEvictions uint64
 	// Promotions/Demotions mirror the policy's transitions that the MMU
 	// carried out against the page table.
 	Promotions uint64
@@ -378,7 +374,6 @@ func (m *MMU) reclaim(p policy.Page) {
 	m.stats.Evictions++
 	if uint(p.Shift) >= addr.ChunkShift {
 		m.stats.EvictionsByClass[1]++
-		m.stats.LargeEvictions++
 	} else {
 		m.stats.EvictionsByClass[0]++
 	}

@@ -54,6 +54,37 @@ func DefaultLadderConfig(T int, classes addr.SizeClasses) LadderConfig {
 	return LadderConfig{T: T, Classes: classes, Thresholds: thr, Demote: true}
 }
 
+// Validate reports whether the configuration is usable: T positive, at
+// least two classes with the 4KB block at the base and a top shift of at
+// most 24, and one threshold per class above the base, each in
+// [1, Classes.Fanout(k)].
+func (c LadderConfig) Validate() error {
+	if c.T <= 0 {
+		return fmt.Errorf("policy: window T must be positive, got %d", c.T)
+	}
+	n := c.Classes.N()
+	if n < 2 {
+		return fmt.Errorf("policy: ladder needs at least two size classes, got %d", n)
+	}
+	if c.Classes.Shift(0) != addr.BlockShift {
+		return fmt.Errorf("policy: ladder base class must be the 4KB block, got shift %d",
+			c.Classes.Shift(0))
+	}
+	if top := c.Classes.TopShift(); top > 24 {
+		return fmt.Errorf("policy: top shift %d out of range (%d,24]", top, addr.BlockShift)
+	}
+	if len(c.Thresholds) != n-1 {
+		return fmt.Errorf("policy: ladder needs %d thresholds for %d classes, got %d",
+			n-1, n, len(c.Thresholds))
+	}
+	for k := 1; k < n; k++ {
+		if thr, fan := c.Thresholds[k-1], c.Classes.Fanout(k); thr < 1 || thr > fan {
+			return fmt.Errorf("policy: class-%d threshold %d out of range [1,%d]", k, thr, fan)
+		}
+	}
+	return nil
+}
+
 // LadderStats counts N-level policy activity, indexed by size class.
 type LadderStats struct {
 	Refs        uint64                            // references observed
@@ -110,29 +141,10 @@ type Ladder struct {
 
 // NewLadder returns the N-level policy for the given configuration.
 func NewLadder(cfg LadderConfig) *Ladder {
-	if cfg.T <= 0 {
-		panic("policy: LadderConfig.T must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	n := cfg.Classes.N()
-	if n < 2 {
-		panic(fmt.Sprintf("policy: ladder needs at least two size classes, got %d", n))
-	}
-	if cfg.Classes.Shift(0) != addr.BlockShift {
-		panic(fmt.Sprintf("policy: ladder base class must be the 4KB block, got shift %d",
-			cfg.Classes.Shift(0)))
-	}
-	if top := cfg.Classes.TopShift(); top > 24 {
-		panic(fmt.Sprintf("policy: top shift %d out of range (%d,24]", top, addr.BlockShift))
-	}
-	if len(cfg.Thresholds) != n-1 {
-		panic(fmt.Sprintf("policy: ladder needs %d thresholds for %d classes, got %d",
-			n-1, n, len(cfg.Thresholds)))
-	}
-	for k := 1; k < n; k++ {
-		if thr, fan := cfg.Thresholds[k-1], cfg.Classes.Fanout(k); thr < 1 || thr > fan {
-			panic(fmt.Sprintf("policy: class-%d threshold %d out of range [1,%d]", k, thr, fan))
-		}
-	}
 	l := &Ladder{
 		cfg: cfg,
 		win: window.NewWithChunkShift(cfg.T, cfg.Classes.Shift(1)),

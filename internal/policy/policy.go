@@ -193,22 +193,30 @@ type TwoSize struct {
 	ladder *Ladder
 }
 
-// NewTwoSize returns the dynamic policy for the given configuration.
+// Validate reports whether the configuration is usable: T positive, the
+// large shift (zero means 32KB) in (BlockShift, 24], and Threshold in
+// [1, BlocksPerChunk].
+func (c TwoSizeConfig) Validate() error {
+	if c.T <= 0 {
+		return fmt.Errorf("policy: window T must be positive, got %d", c.T)
+	}
+	if ls := c.LargeShift; ls != 0 && (ls <= addr.BlockShift || ls > 24) {
+		return fmt.Errorf("policy: large shift %d out of range (%d,24]", ls, addr.BlockShift)
+	}
+	if bpc := c.BlocksPerChunk(); c.Threshold < 1 || c.Threshold > bpc {
+		return fmt.Errorf("policy: threshold %d out of range [1,%d]", c.Threshold, bpc)
+	}
+	return nil
+}
+
+// NewTwoSize returns the dynamic policy for the given configuration. It
+// panics if cfg does not Validate.
 func NewTwoSize(cfg TwoSizeConfig) *TwoSize {
-	if cfg.T <= 0 {
-		panic("policy: TwoSizeConfig.T must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.LargeShift == 0 {
 		cfg.LargeShift = addr.ChunkShift
-	}
-	if cfg.LargeShift <= addr.BlockShift || cfg.LargeShift > 24 {
-		panic(fmt.Sprintf("policy: large shift %d out of range (%d,24]",
-			cfg.LargeShift, addr.BlockShift))
-	}
-	bpc := cfg.BlocksPerChunk()
-	if cfg.Threshold < 1 || cfg.Threshold > bpc {
-		panic(fmt.Sprintf("policy: threshold %d out of range [1,%d]",
-			cfg.Threshold, bpc))
 	}
 	lcfg := LadderConfig{
 		T:          cfg.T,
@@ -261,16 +269,4 @@ func (p *TwoSize) Assign(va addr.VA) Result { return p.ladder.Assign(va) }
 // Name implements Assigner.
 func (p *TwoSize) Name() string {
 	return fmt.Sprintf("4KB/%s", addr.PageSize(1)<<p.cfg.LargeShift)
-}
-
-// LargeFraction returns the fraction of references that landed on large
-// pages so far; it quantifies how much use the policy made of large pages
-// (Section 5.2 attributes espresso/worm degradation to "insufficient use
-// of large pages during page-size assignment").
-func (p *TwoSize) LargeFraction() float64 {
-	ls := p.ladder.Stats()
-	if ls.Refs == 0 {
-		return 0
-	}
-	return float64(ls.RefsByClass[1]) / float64(ls.Refs)
 }

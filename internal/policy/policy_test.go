@@ -50,11 +50,18 @@ func TestSinglePanicsOnInvalidSize(t *testing.T) {
 }
 
 func TestTwoSizeConfigValidation(t *testing.T) {
+	if err := DefaultTwoSizeConfig(10).Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
 	for _, cfg := range []TwoSizeConfig{
 		{T: 0, Threshold: 4},
+		{T: -5, Threshold: 4},
 		{T: 10, Threshold: 0},
 		{T: 10, Threshold: 9},
 	} {
+		if cfg.Validate() == nil {
+			t.Errorf("config %+v should not validate", cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -155,18 +162,6 @@ func TestThresholdOne(t *testing.T) {
 	}
 	if res.Page.Shift != addr.ChunkShift {
 		t.Fatalf("page: %+v", res.Page)
-	}
-}
-
-func TestLargeFraction(t *testing.T) {
-	p := NewTwoSize(DefaultTwoSizeConfig(1000))
-	if p.LargeFraction() != 0 {
-		t.Fatal("initial LargeFraction should be 0")
-	}
-	touchBlocks(p, 0, 8)
-	// 3 small refs then 5 large refs.
-	if got, want := p.LargeFraction(), 5.0/8.0; got != want {
-		t.Fatalf("LargeFraction = %v, want %v", got, want)
 	}
 }
 
@@ -298,6 +293,36 @@ func TestGeneralizedLargeShift(t *testing.T) {
 	}
 	if got.Event != EventPromote || got.Page.Shift != addr.Shift64K {
 		t.Fatalf("64KB promotion: %+v", got)
+	}
+}
+
+func TestLadderConfigValidation(t *testing.T) {
+	three := addr.MustShiftClasses(addr.Shift4K, addr.Shift32K, addr.Shift256K)
+	if err := DefaultLadderConfig(10, three).Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
+	bad := map[string]LadderConfig{
+		"zero T":          DefaultLadderConfig(0, three),
+		"negative T":      DefaultLadderConfig(-3, three),
+		"one class":       {T: 10, Classes: addr.MustShiftClasses(addr.Shift4K)},
+		"8KB base":        DefaultLadderConfig(10, addr.MustShiftClasses(addr.Shift8K, addr.Shift64K)),
+		"top above 16MB":  DefaultLadderConfig(10, addr.MustShiftClasses(addr.Shift4K, 25)),
+		"threshold count": {T: 10, Classes: three, Thresholds: []int{4}},
+		"threshold zero":  {T: 10, Classes: three, Thresholds: []int{4, 0}},
+		"threshold above": {T: 10, Classes: three, Thresholds: []int{9, 4}},
+	}
+	for name, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("%s: config %+v should not validate", name, cfg)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewLadder should panic", name)
+				}
+			}()
+			NewLadder(cfg)
+		}()
 	}
 }
 

@@ -6,23 +6,10 @@ import (
 	"twopage/internal/kernelref"
 )
 
-// BenchmarkTrackerStep measures the htab-based window kernel; the
-// GoMap variant is the pre-conversion map kernel (kernelref.MapTracker)
-// on the same stream. The pair backs the speedup rows in
-// BENCH_kernels.json.
+// BenchmarkTrackerStep measures the htab-based window kernel.
 func BenchmarkTrackerStep(b *testing.B) {
 	stream := kernelref.BlockStream(1 << 16)
 	w := New(1 << 14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step(stream[i&(1<<16-1)])
-	}
-}
-
-func BenchmarkTrackerStepGoMap(b *testing.B) {
-	stream := kernelref.BlockStream(1 << 16)
-	w := kernelref.NewMapTracker(1 << 14)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -33,27 +33,21 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"time"
 
+	"twopage/internal/cli"
 	"twopage/internal/engine"
 	"twopage/internal/experiments"
 	"twopage/internal/obs"
 	"twopage/internal/plot"
-	"twopage/internal/profiling"
-	"twopage/internal/trace"
+	"twopage/internal/tableio"
 	"twopage/internal/workload"
 )
 
@@ -77,14 +71,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole program behind a single os.Exit: every error path
-// returns through it, so deferred cleanups — the profile flush above
-// all — always execute. (The old structure called os.Exit(1) from the
-// middle of main, silently truncating -cpuprofile output whenever any
-// experiment failed.)
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func run(args []string, stdout, stderr io.Writer) int {
+	cmd := cli.New("paper", stdout, stderr)
+	fs := cmd.Flags
 	scale := fs.Float64("scale", 1.0, "trace-length multiplier (1.0 = full size)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "emit JSON documents instead of aligned tables")
@@ -98,9 +87,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	walkPWC := fs.Int("walkpwc", 0, "walkcpi family: page-walk-cache entries per level (0 = default, negative = disable)")
 	walkMem := fs.Int("walkmem", 0, "walkcpi family: memory-side cache bytes for walk loads (0 = default, negative = disable)")
 	progress := fs.Bool("progress", false, "report each completed simulation pass on stderr")
-	statsF := fs.String("stats", "", "write a JSON run report to this file (\"-\" = stderr)")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	cmd.ObserveFlags()
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: paper [flags] [experiment ...|all]\n\nFlags:\n")
 		fs.PrintDefaults()
@@ -109,184 +96,140 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "  %s\n", e.ID)
 		}
 	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
+	return cmd.Run(args, func(ctx context.Context) (*obs.Report, error) {
+		if err := cli.Warmup(*warmup, *shards); err != nil {
+			return nil, err
 		}
-		return 2
-	}
-	if *warmup > 0 && *shards <= 1 {
-		// The serial pass has no warm-up phase; silently ignoring the
-		// flag would report cold-state metrics as if they were warm.
-		fmt.Fprintln(stderr, "paper: -warmup requires -shards > 1 (the serial pass replays no warm-up)")
-		return 2
-	}
-	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
-		fmt.Fprintf(stderr, "paper: -scale must be a finite positive number, got %g\n", *scale)
-		return 2
-	}
-
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Fprintf(stdout, "%-12s %s\n%13s%s\n", e.ID, e.Title, "", e.About)
+		if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+			return nil, cli.Usagef("-scale", "must be a finite positive number, got %g", *scale)
 		}
-		return 0
-	}
-
-	ids := fs.Args()
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		ids = nil
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintf(stderr, "paper: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(stderr, "paper: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
-
-	if *traceF != "" {
-		name, err := registerTrace(*traceF)
+		wcfg, err := cli.Walk(*walkPWC, *walkMem)
 		if err != nil {
-			fmt.Fprintf(stderr, "paper: %v\n", err)
-			return 1
+			return nil, err
 		}
-		// A trace file stands in for the whole program set unless the
-		// user picked an explicit subset.
-		if *workloads == "" {
-			*workloads = name
+		if *list {
+			for _, e := range experiments.All() {
+				fmt.Fprintf(stdout, "%-12s %s\n%13s%s\n", e.ID, e.Title, "", e.About)
+			}
+			return nil, nil
 		}
-	}
 
-	names, err := splitWorkloads(*workloads)
-	if err != nil {
-		fmt.Fprintf(stderr, "paper: %v\n", err)
-		return 1
-	}
+		ids := fs.Args()
+		if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
+			ids = nil
+			for _, e := range experiments.All() {
+				ids = append(ids, e.ID)
+			}
+		}
 
-	eopts := []experiments.Opt{
-		experiments.WithScale(*scale),
-		experiments.WithCSV(*csv),
-		experiments.WithJSON(*jsonOut),
-		experiments.WithParallelism(*parallelism),
-		experiments.WithShards(*shards, *warmup),
-		experiments.WithWalkParams(*walkPWC, *walkMem),
-	}
-	if len(names) > 0 {
-		eopts = append(eopts, experiments.WithWorkloads(names...))
-	}
-	var col *obs.Collector
-	if *statsF != "" {
-		col = obs.NewCollector()
+		if *traceF != "" {
+			name, err := cli.RegisterTrace(*traceF)
+			if err != nil {
+				return nil, err
+			}
+			// A trace file stands in for the whole program set unless the
+			// user picked an explicit subset.
+			if *workloads == "" {
+				*workloads = name
+			}
+		}
+
+		names, err := splitWorkloads(*workloads)
+		if err != nil {
+			return nil, err
+		}
+
+		eopts := []experiments.Opt{
+			experiments.WithScale(*scale),
+			experiments.WithCSV(*csv),
+			experiments.WithJSON(*jsonOut),
+			experiments.WithParallelism(*parallelism),
+			experiments.WithShards(*shards, *warmup),
+			experiments.WithWalk(wcfg),
+		}
+		if len(names) > 0 {
+			eopts = append(eopts, experiments.WithWorkloads(names...))
+		}
+		col := obs.NewCollector()
 		eopts = append(eopts, experiments.WithCollector(col))
-	}
-	if *progress {
-		eopts = append(eopts, experiments.WithProgress(func(ev engine.Event) {
-			tag := ""
-			if ev.CacheHit {
-				tag = " (cached)"
+		if *progress {
+			eopts = append(eopts, experiments.WithProgress(func(ev engine.Event) {
+				tag := ""
+				if ev.CacheHit {
+					tag = " (cached)"
+				}
+				fmt.Fprintf(stderr, "  [%d/%d] %s%s\n", ev.Done, ev.Submitted, ev.Key, tag)
+			}))
+		}
+		runner := experiments.NewRunner(eopts...)
+		opts := runner.Options()
+
+		// Every experiment renders into its own buffer; the shared engine
+		// bounds the simulation work and deduplicates passes across
+		// experiments. Buffers are flushed in request order so stdout
+		// does not depend on -j.
+		outs := runner.Each(ctx, ids, func(e experiments.Experiment, tbl *tableio.Table, w io.Writer) error {
+			spec, chartable := chartSpec[e.ID]
+			if !*chart || !chartable {
+				return opts.Render(tbl, w)
 			}
-			fmt.Fprintf(stderr, "  [%d/%d] %s%s\n", ev.Done, ev.Submitted, ev.Key, tag)
-		}))
-	}
-	opts := experiments.NewOptions(eopts...)
-
-	// Every experiment renders into its own buffer on its own
-	// goroutine; the shared engine bounds the simulation work and
-	// deduplicates passes across experiments. Buffers are flushed in
-	// request order so stdout does not depend on -j.
-	type outcome struct {
-		buf bytes.Buffer
-		dur time.Duration
-		err error
-	}
-	start := time.Now()
-	outs := make([]outcome, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			t0 := time.Now()
-			outs[i].err = runOne(ctx, id, opts, *chart, &outs[i].buf)
-			outs[i].dur = time.Since(t0)
-		}(i, id)
-	}
-	wg.Wait()
-	interrupted := ctx.Err() != nil
-
-	// Flush every successful table in request order and report every
-	// failure; one bad experiment must not swallow the others' results.
-	failed, printed := 0, 0
-	for i, id := range ids {
-		if outs[i].err != nil {
-			if interrupted && errors.Is(outs[i].err, context.Canceled) {
-				continue // the single "interrupted" notice below covers these
+			c, err := plot.FromTable(tbl, e.Title, spec.cat, spec.val)
+			if err != nil {
+				return err
 			}
-			failed++
-			fmt.Fprintf(stderr, "paper: %v\n", outs[i].err)
-			continue
-		}
-		if printed > 0 {
-			fmt.Fprintln(stdout)
-		}
-		if _, err := outs[i].buf.WriteTo(stdout); err != nil {
-			fmt.Fprintf(stderr, "paper: %v\n", err)
-			return 1
-		}
-		printed++
-		fmt.Fprintf(stderr, "  [%s in %.1fs at scale %g]\n", id, outs[i].dur.Seconds(), *scale)
-	}
+			c.Log = spec.log
+			_, err = c.WriteTo(w)
+			return err
+		})
+		interrupted := ctx.Err() != nil
 
-	// The run report is written even for failed or interrupted runs:
-	// partial counters are exactly what a post-mortem needs.
-	if *statsF != "" {
+		// The run report keeps partial counters even for failed or
+		// interrupted runs: exactly what a post-mortem needs.
 		rep := obs.New("paper")
 		rep.Scale = *scale
 		rep.Workloads = names
 		rep.Parallelism = *parallelism
-		rep.WallMS = time.Since(start).Milliseconds()
 		st := opts.Engine.Stats()
 		rep.Engine = &obs.EngineStats{Submitted: st.Submitted, Done: st.Done, CacheHits: st.CacheHits}
 		rep.Totals = col.Totals()
 		rep.Passes = col.Passes()
 		for i, id := range ids {
-			es := obs.ExperimentStatus{ID: id, WallMS: outs[i].dur.Milliseconds()}
-			if outs[i].err != nil {
-				es.Error = outs[i].err.Error()
+			es := obs.ExperimentStatus{ID: id, WallMS: outs[i].Dur.Milliseconds()}
+			if outs[i].Err != nil {
+				es.Error = outs[i].Err.Error()
 			}
 			rep.Experiments = append(rep.Experiments, es)
 		}
-		if err := rep.Write(*statsF, stderr); err != nil {
-			fmt.Fprintf(stderr, "paper: %v\n", err)
-			if failed == 0 && !interrupted {
-				return 1
-			}
-		}
-	}
 
-	switch {
-	case interrupted:
-		fmt.Fprintln(stderr, "paper: interrupted")
-		return 130
-	case failed > 0:
-		fmt.Fprintf(stderr, "paper: %d of %d experiments failed\n", failed, len(ids))
-		return 1
-	}
-	return 0
+		// Flush every successful table in request order and report every
+		// failure; one bad experiment must not swallow the others' results.
+		failed, printed := 0, 0
+		for i, id := range ids {
+			if outs[i].Err != nil {
+				if interrupted && errors.Is(outs[i].Err, context.Canceled) {
+					continue // the single "interrupted" notice covers these
+				}
+				failed++
+				fmt.Fprintf(stderr, "paper: %v\n", outs[i].Err)
+				continue
+			}
+			if printed > 0 {
+				fmt.Fprintln(stdout)
+			}
+			if _, err := stdout.Write(outs[i].Out); err != nil {
+				return rep, err
+			}
+			printed++
+			fmt.Fprintf(stderr, "  [%s in %.1fs at scale %g]\n", id, outs[i].Dur.Seconds(), *scale)
+		}
+		switch {
+		case interrupted:
+			return rep, ctx.Err()
+		case failed > 0:
+			return rep, fmt.Errorf("%d of %d experiments failed", failed, len(ids))
+		}
+		return rep, nil
+	})
 }
 
 // splitWorkloads parses the -workloads flag: entries are comma-separated
@@ -307,62 +250,4 @@ func splitWorkloads(s string) ([]string, error) {
 		names = append(names, name)
 	}
 	return names, nil
-}
-
-// registerTrace makes a trace file available as a workload named
-// trace:<basename>. v2 files are memory-mapped and shared across all
-// concurrent passes; v1 and text traces are decoded once into memory
-// and replayed from the slice.
-func registerTrace(path string) (string, error) {
-	name := "trace:" + strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	if f, err := trace.OpenFile(path); err == nil {
-		return name, workload.RegisterFile(name, f)
-	} else if !errors.Is(err, trace.ErrNotV2) {
-		return "", err
-	}
-	r, closer, err := trace.OpenPath(path, "auto")
-	if err != nil {
-		return "", err
-	}
-	defer closer.Close()
-	var refs []trace.Ref
-	if _, err := trace.Drain(r, func(batch []trace.Ref) {
-		refs = append(refs, batch...)
-	}); err != nil {
-		return "", fmt.Errorf("reading %s: %w", path, err)
-	}
-	desc := fmt.Sprintf("trace file %s (%d refs, in-memory replay)", path, len(refs))
-	return name, workload.RegisterSource(name, desc, uint64(len(refs)), false,
-		func(uint64) trace.Reader { return trace.NewSliceReader(refs) })
-}
-
-// runOne executes an experiment and renders it into w as a table, CSV,
-// JSON, or — when requested and applicable — an ASCII chart.
-func runOne(ctx context.Context, id string, opts *experiments.Options, chart bool, w io.Writer) error {
-	e, err := experiments.Get(id)
-	if err != nil {
-		return err
-	}
-	tbl, err := e.Run(ctx, opts)
-	if err != nil {
-		return fmt.Errorf("%s: %w", id, err)
-	}
-	if spec, chartable := chartSpec[id]; chart && chartable {
-		c, err := plot.FromTable(tbl, e.Title, spec.cat, spec.val)
-		if err != nil {
-			return err
-		}
-		c.Log = spec.log
-		_, err = c.WriteTo(w)
-		return err
-	}
-	switch {
-	case opts.JSON:
-		return tbl.JSON(w)
-	case opts.CSV:
-		return tbl.CSV(w)
-	default:
-		_, err = tbl.WriteTo(w)
-		return err
-	}
 }

@@ -12,86 +12,63 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
 
 	"twopage/internal/addr"
-	"twopage/internal/trace"
+	"twopage/internal/cli"
+	"twopage/internal/obs"
 	"twopage/internal/tracestat"
 	"twopage/internal/workload"
 )
 
 func main() {
-	var (
-		wl     = flag.String("workload", "", "synthetic workload name")
-		refs   = flag.Uint64("refs", 0, "trace length (0 = workload default)")
-		traceF = flag.String("trace", "", "trace file instead of a workload")
-		format = flag.String("format", "auto", "trace file format: auto, v2, binary, or text")
-		all    = flag.Bool("all", false, "summarize all twelve programs (one line each)")
-	)
-	flag.Parse()
-
-	if *all {
-		fmt.Printf("%-10s %-9s %-10s %-12s %-12s %s\n",
-			"program", "refs(M)", "footprint", "blocks/chunk", "promotable", "sequential")
-		for _, s := range workload.All() {
-			n := *refs
-			if n == 0 {
-				n = s.DefaultRefs / 4 // quarter-length is plenty for footprints
-			}
-			rep, err := tracestat.Analyze(s.New(n))
-			if err != nil {
-				fatal("%v", err)
-			}
-			fmt.Printf("%-10s %-9.1f %-10s %-12.2f %-12s %s\n",
-				s.Name, float64(n)/1e6,
-				fmt.Sprintf("%.2fMB", float64(rep.FootprintBytes)/(1<<20)),
-				rep.MeanDensity(),
-				fmt.Sprintf("%.0f%%", 100*rep.PromotableFraction(addr.BlocksPerChunk/2)),
-				fmt.Sprintf("%.0f%%", 100*rep.SeqFraction()))
-		}
-		return
-	}
-
-	var src trace.Reader
-	switch {
-	case *traceF != "":
-		r, closer, err := trace.OpenPath(*traceF, *format)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer closer.Close()
-		src = r
-		if mr, ok := r.(*trace.MapReader); ok {
-			f := mr.File()
-			fmt.Printf("v2 trace:        %d blocks, %d refs, %d bytes (%.3f bytes/ref)\n",
-				f.Blocks(), f.Refs(), f.Size(), f.BytesPerRef())
-		}
-	case *wl != "":
-		spec, err := workload.Get(*wl)
-		if err != nil {
-			fatal("%v", err)
-		}
-		n := *refs
-		if n == 0 {
-			n = spec.DefaultRefs
-		}
-		src = spec.New(n)
-	default:
-		fatal("need -workload, -trace, or -all")
-	}
-
-	rep, err := tracestat.Analyze(src)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if _, err := rep.WriteTo(os.Stdout); err != nil {
-		fatal("%v", err)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "traceinfo: "+format+"\n", args...)
-	os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	cmd := cli.New("traceinfo", stdout, stderr)
+	source := cmd.SourceFlags(cli.TraceInput)
+	all := cmd.Flags.Bool("all", false, "summarize all twelve programs (one line each)")
+	return cmd.Run(args, func(ctx context.Context) (*obs.Report, error) {
+		if *all {
+			fmt.Fprintf(stdout, "%-10s %-9s %-10s %-12s %-12s %s\n",
+				"program", "refs(M)", "footprint", "blocks/chunk", "promotable", "sequential")
+			for _, s := range workload.All() {
+				n := *source.Refs
+				if n == 0 {
+					n = s.DefaultRefs / 4 // quarter-length is plenty for footprints
+				}
+				rep, err := tracestat.Analyze(s.New(n))
+				if err != nil {
+					return nil, err
+				}
+				fmt.Fprintf(stdout, "%-10s %-9.1f %-10s %-12.2f %-12s %s\n",
+					s.Name, float64(n)/1e6,
+					fmt.Sprintf("%.2fMB", float64(rep.FootprintBytes)/(1<<20)),
+					rep.MeanDensity(),
+					fmt.Sprintf("%.0f%%", 100*rep.PromotableFraction(addr.BlocksPerChunk/2)),
+					fmt.Sprintf("%.0f%%", 100*rep.SeqFraction()))
+			}
+			return nil, nil
+		}
+
+		src, err := source.Open()
+		if err != nil {
+			return nil, err
+		}
+		defer src.Close()
+		if f := src.File; f != nil {
+			fmt.Fprintf(stdout, "v2 trace:        %d blocks, %d refs, %d bytes (%.3f bytes/ref)\n",
+				f.Blocks(), f.Refs(), f.Size(), f.BytesPerRef())
+		}
+		rep, err := tracestat.Analyze(src.Reader)
+		if err != nil {
+			return nil, err
+		}
+		_, err = rep.WriteTo(stdout)
+		return nil, err
+	})
 }

@@ -1,6 +1,7 @@
 package twopage_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -129,7 +130,7 @@ func TestCommandLineTools(t *testing.T) {
 			}
 		}
 		// -walk without a multi-size policy is a usage error.
-		if code, out := runBinErr(t, bin, "-workload", "li", "-refs", "50000", "-walk"); code != 1 || !strings.Contains(out, "-walk needs a multi-size policy") {
+		if code, out := runBinErr(t, bin, "-workload", "li", "-refs", "50000", "-walk"); code != 2 || !strings.Contains(out, "-walk: needs a multi-size policy") {
 			t.Errorf("single-size -walk: exit %d, output:\n%s", code, out)
 		}
 	})
@@ -161,9 +162,10 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
-	// Values a user can type that used to end in a Go panic (or, for
-	// -scale NaN, a run that never finished): each must exit 2 with a
-	// one-line message naming the flag, and no goroutine dump.
+	// Values a user can type that used to end in a Go panic, a run that
+	// never finished (-scale NaN), a silent nonsense result
+	// (-faultcycles -5) or exit 1: each must exit 2 with a one-line
+	// message naming the flag, and no goroutine dump.
 	t.Run("bad-values-exit-2", func(t *testing.T) {
 		cases := []struct {
 			name, cmd, flag string
@@ -182,6 +184,24 @@ func TestCommandLineTools(t *testing.T) {
 			{"scale-zero", "paper", "-scale", []string{"-scale", "0", "-workloads", "li", "table3.1"}},
 			{"scale-nan", "paper", "-scale", []string{"-scale", "NaN", "-workloads", "li", "table3.1"}},
 			{"scale-inf", "paper", "-scale", []string{"-scale", "+Inf", "-workloads", "li", "table3.1"}},
+			{"huge-T", "tlbsim", "-T", []string{"-workload", "li", "-refs", "1000", "-two", "-T", "9223372036854775807"}},
+			{"entries-zero", "tlbsim", "-entries", []string{"-workload", "li", "-refs", "1000", "-entries", "0"}},
+			{"entries-huge", "tlbsim", "-entries", []string{"-workload", "li", "-refs", "1000", "-entries", "1099511627776"}},
+			{"ways-not-divisor", "tlbsim", "-ways", []string{"-workload", "li", "-refs", "1000", "-ways", "3"}},
+			{"index-unknown", "tlbsim", "-index", []string{"-workload", "li", "-refs", "1000", "-index", "bogus"}},
+			{"sizes-not-number", "tlbsim", "-sizes", []string{"-workload", "li", "-refs", "1000", "-sizes", "4096,x"}},
+			{"walkmem-not-divisible", "tlbsim", "-walkmem", []string{"-workload", "li", "-refs", "1000", "-two", "-walk", "-walkmem", "3000"}},
+			{"walk-single-size", "tlbsim", "-walk", []string{"-workload", "li", "-refs", "1000", "-walk"}},
+			{"wss-with-ladder", "tlbsim", "-wss", []string{"-workload", "li", "-refs", "1000", "-two", "-ladder", "-sizes", "4096,32768", "-wss"}},
+			{"shards-without-v2", "tlbsim", "-shards", []string{"-workload", "li", "-refs", "1000", "-shards", "2"}},
+			{"wsssim-huge-T", "wsssim", "-T", []string{"-workload", "li", "-refs", "1000", "-T", "18446744073709551615"}},
+			{"wsssim-sizes-not-pow2", "wsssim", "-sizes", []string{"-workload", "li", "-refs", "1000", "-sizes", "3000"}},
+			{"vmsim-mem-not-number", "vmsim", "-mem", []string{"-workload", "li", "-refs", "1000", "-mem", "bogus"}},
+			{"vmsim-mem-not-chunks", "vmsim", "-mem", []string{"-workload", "li", "-refs", "1000", "-mem", "3000"}},
+			{"vmsim-mem-huge", "vmsim", "-mem", []string{"-workload", "li", "-refs", "1000", "-mem", "2048G"}},
+			{"vmsim-faultcycles-negative", "vmsim", "-faultcycles", []string{"-workload", "li", "-refs", "1000", "-faultcycles", "-5"}},
+			{"traceinfo-format-unknown", "traceinfo", "-format", []string{"-trace", "missing.trc", "-format", "bogus"}},
+			{"tracegen-format-unknown", "tracegen", "-format", []string{"-workload", "li", "-refs", "1000", "-o", os.DevNull, "-format", "v3"}},
 		}
 		bins := map[string]string{}
 		for _, tc := range cases {
@@ -209,6 +229,27 @@ func TestCommandLineTools(t *testing.T) {
 					t.Errorf("want a one-line message, got %d lines:\n%s", n+1, out)
 				}
 			})
+		}
+	})
+
+	// A bad -format used to truncate the output file before failing.
+	t.Run("tracegen-bad-format-keeps-file", func(t *testing.T) {
+		bin := buildCmd(t, dir, "tracegen")
+		keep := filepath.Join(dir, "keep.trc")
+		runBin(t, bin, "-workload", "li", "-refs", "1000", "-o", keep)
+		before, err := os.ReadFile(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, out := runBinErr(t, bin, "-workload", "li", "-refs", "1000", "-o", keep, "-format", "v3"); code != 2 {
+			t.Errorf("exit %d, want 2\n%s", code, out)
+		}
+		after, err := os.ReadFile(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("keep.trc changed: %d bytes before, %d after", len(before), len(after))
 		}
 	})
 

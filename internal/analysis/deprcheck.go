@@ -10,16 +10,14 @@ import (
 // conventional "Deprecated:" doc marker may be used outside its
 // defining package.
 //
-// Deprecated names in this repository are compatibility shims — the
-// SmallShift/LargeShift config fields that predate the N-size Shifts
-// slice, the mmu.Stats.LargeEvictions alias — kept so old experiment
-// files and their goldens still load. The defining package normalizes
-// them away at the boundary; any *other* package reaching for them is
-// new code written against the dead API. The grep this check replaces
-// matched bare identifier text, so it could not tell
-// tlb.Config.LargeShift (deprecated) from policy.TwoSizeConfig's
-// like-named field (current) and had to under-gate; the object-based
-// check distinguishes them and gates both spellings precisely.
+// A Deprecated name is a compatibility shim: an old spelling a package
+// keeps so existing callers still build while it normalizes the name
+// away at its boundary. Any *other* package reaching for it is new code
+// written against the dead API. The tree has no such shims today; the
+// check keeps a future one from growing new callers. Matching by
+// object, not by identifier text, lets a deprecated field coexist with
+// a current like-named field in another type — the false positive the
+// old grep could only avoid by under-gating.
 //
 // The defining package itself is exempt — it must keep reading the
 // fields to normalize them — and so are uses inside the declaration

@@ -65,9 +65,6 @@ func WithSharding(plan ShardPlan) Option {
 	return func(e *Engine) { e.shard = plan }
 }
 
-// Sharding returns the engine's shard plan (zero value when serial).
-func (e *Engine) Sharding() ShardPlan { return e.shard }
-
 // shardFor resolves the plan for one unit: the backing file and the
 // plan with Warmup defaulted from the unit's policy window. ok is false
 // when the engine is serial or the workload has no backing file.
@@ -197,13 +194,15 @@ func (u Unit) runSharded(e *Engine, ctx context.Context, f *trace.File, plan Sha
 	return RunSharded(e, ctx, f, u.Refs, plan, label, u.newSimulator)
 }
 
-// staticWSSSharded runs a static working-set pass sharded. Unlike TLB
+// StaticWSSSharded computes a static working-set pass over the first
+// refs references of f (0 = the whole file) in shards disjoint sections
+// on e's pool, measuring each page shift at window T. Unlike TLB
 // simulation this merge is exact — the residency accumulation
 // decomposes across any partition of the stream (wss.MergeStatic) — so
-// the sharded pass shares the serial unit's memoization key and needs
-// no warm-up.
-func (e *Engine) staticWSSSharded(ctx context.Context, f *trace.File, u StaticWSSUnit, shards int, key string) ([]wss.Result, error) {
-	refs := u.Refs
+// the result is byte-identical to the serial pass for any shard count
+// and needs no warm-up. The counters carry the references stepped and
+// the decode work. label names the sections in engine events.
+func StaticWSSSharded(e *Engine, ctx context.Context, f *trace.File, refs, T uint64, shards int, label string, shifts ...uint) ([]wss.Result, obs.Counters, error) {
 	if refs == 0 || refs > f.Refs() {
 		refs = f.Refs()
 	}
@@ -211,7 +210,7 @@ func (e *Engine) staticWSSSharded(ctx context.Context, f *trace.File, u StaticWS
 		calc *wss.StaticShard
 		dec  trace.DecodeStats
 	}
-	parts, err := MapSections(e, ctx, f, shards, key, func(ctx context.Context, r *trace.MapReader, section int) (part, error) {
+	parts, err := MapSections(e, ctx, f, shards, label, func(ctx context.Context, r *trace.MapReader, section int) (part, error) {
 		n := shardCount(f, shards)
 		start := f.SectionStart(section, n)
 		left := uint64(0)
@@ -222,7 +221,7 @@ func (e *Engine) staticWSSSharded(ctx context.Context, f *trace.File, u StaticWS
 		if left < f.SectionRefs(section, n) {
 			rd = trace.NewLimit(r, left)
 		}
-		calc := wss.NewStaticShard(u.T, start, StaticShifts...)
+		calc := wss.NewStaticShard(T, start, shifts...)
 		if _, err := trace.DrainContext(ctx, rd, func(batch []trace.Ref) {
 			for _, ref := range batch {
 				calc.Step(ref.Addr)
@@ -233,24 +232,16 @@ func (e *Engine) staticWSSSharded(ctx context.Context, f *trace.File, u StaticWS
 		return part{calc: calc, dec: r.DecodeStats()}, nil
 	}).Wait(ctx)
 	if err != nil {
-		return nil, err
+		return nil, obs.Counters{}, err
 	}
 	calcs := make([]*wss.StaticShard, len(parts))
-	var c trace.DecodeStats
+	var c obs.Counters
 	for i, p := range parts {
 		calcs[i] = p.calc
-		c.Refs += p.dec.Refs
-		c.Blocks += p.dec.Blocks
-		c.Bytes += p.dec.Bytes
+		c.Refs += p.calc.Steps()
+		c.DecodedRefs += p.dec.Refs
+		c.DecodedBlocks += p.dec.Blocks
+		c.DecodedBytes += p.dec.Bytes
 	}
-	results := wss.MergeStatic(calcs)
-	e.Record(key, obs.Counters{
-		Passes:        1,
-		Refs:          u.Refs,
-		WSSPages:      results[0].Pages, // base (4KB) scheme
-		DecodedRefs:   c.Refs,
-		DecodedBlocks: c.Blocks,
-		DecodedBytes:  c.Bytes,
-	})
-	return results, nil
+	return wss.MergeStatic(calcs), c, nil
 }

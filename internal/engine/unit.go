@@ -7,6 +7,7 @@ import (
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
+	"twopage/internal/obs"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/walk"
@@ -352,12 +353,23 @@ func (u StaticWSSUnit) key() string {
 // indexed as StaticShifts. Results are shared; treat as read-only.
 func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.Result] {
 	key := u.key()
+	record := func(results []wss.Result, c obs.Counters) []wss.Result {
+		c.Passes = 1
+		c.Refs = u.Refs
+		c.WSSPages = results[0].Pages // base (4KB) scheme
+		e.Record(key, c)
+		return results
+	}
 	if f, plan, ok := e.shardFor(u.Workload, PolicySpec{}); ok {
 		// The static working-set merge is exact (wss.MergeStatic), so
 		// the sharded pass shares the serial unit's key: either path
 		// may satisfy a memo hit for the other, bit for bit.
 		return keyedOffPool(e, ctx, key, func(ctx context.Context) ([]wss.Result, error) {
-			return e.staticWSSSharded(ctx, f, u, plan.Shards, key)
+			results, c, err := StaticWSSSharded(e, ctx, f, u.Refs, u.T, plan.Shards, key, StaticShifts...)
+			if err != nil {
+				return nil, err
+			}
+			return record(results, c), nil
 		})
 	}
 	return keyed(e, ctx, key, func(ctx context.Context) ([]wss.Result, error) {
@@ -374,12 +386,7 @@ func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.R
 		if err != nil {
 			return nil, err
 		}
-		c := core.DecodeCounters(r)
-		c.Passes = 1
-		c.Refs = u.Refs
-		c.WSSPages = results[0].Pages // base (4KB) scheme
-		e.Record(key, c)
-		return results, nil
+		return record(results, core.DecodeCounters(r)), nil
 	})
 }
 

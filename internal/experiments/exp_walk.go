@@ -13,22 +13,15 @@ import (
 	"twopage/internal/walk"
 )
 
-// walkConfig resolves the Options walk knobs into a concrete model over
-// the policy's size classes: zero knobs keep the walk package defaults,
-// negative ones disable the component. BaseCycles stays zero — core
-// derives the handler base from the policy kind.
+// walkConfig is the Options walk model (walk.Default when unset) over
+// the policy's size classes. BaseCycles stays as given — zero lets core
+// derive the handler base from the policy kind.
 func walkConfig(o *Options, classes addr.SizeClasses) walk.Config {
-	cfg := walk.Default(classes)
-	if o.WalkPWC < 0 {
-		cfg.PWCEntries = 0
-	} else if o.WalkPWC > 0 {
-		cfg.PWCEntries = o.WalkPWC
+	if o.Walk == nil {
+		return walk.Default(classes)
 	}
-	if o.WalkMemBytes < 0 {
-		cfg.MemBytes = 0
-	} else if o.WalkMemBytes > 0 {
-		cfg.MemBytes = o.WalkMemBytes
-	}
+	cfg := *o.Walk
+	cfg.Classes = classes
 	return cfg
 }
 

@@ -25,11 +25,13 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"twopage/internal/engine"
 	"twopage/internal/obs"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
+	"twopage/internal/walk"
 	"twopage/internal/workload"
 )
 
@@ -75,13 +77,10 @@ type Options struct {
 	// Warmup is the per-shard warm-up length in references; 0 selects
 	// engine.AutoWarmup of the policy window. Ignored unless Shards > 1.
 	Warmup uint64
-	// WalkPWC overrides the page-walk-cache capacity of the walkcpi
-	// experiment family: 0 keeps walk.DefaultPWCEntries, a negative
-	// value disables the PWCs. Flat-penalty experiments ignore it.
-	WalkPWC int
-	// WalkMemBytes overrides the walk model's memory-side cache size:
-	// 0 keeps walk.DefaultMemBytes, negative disables the cache.
-	WalkMemBytes int
+	// Walk overrides the walk model of the walkcpi experiment family
+	// (its Classes are ignored: each pass uses its policy's hierarchy).
+	// Nil keeps walk.Default. Flat-penalty experiments ignore it.
+	Walk *walk.Config
 }
 
 // Opt mutates an Options (the functional-options constructor form).
@@ -111,12 +110,8 @@ func WithParallelism(n int) Opt { return func(o *Options) { o.Parallelism = n } 
 // WithProgress registers a per-unit progress callback.
 func WithProgress(fn func(engine.Event)) Opt { return func(o *Options) { o.Progress = fn } }
 
-// WithEngine shares an existing engine (its parallelism and observer
-// win over WithParallelism/WithProgress).
-func WithEngine(e *engine.Engine) Opt { return func(o *Options) { o.Engine = e } }
-
 // WithCollector attaches a run-report collector to the private engine
-// normalize builds (a no-op when WithEngine supplies one).
+// normalize builds (a no-op when Options.Engine is already set).
 func WithCollector(c *obs.Collector) Opt { return func(o *Options) { o.Collector = c } }
 
 // WithShards splits file-backed traces into n sections simulated in
@@ -126,12 +121,8 @@ func WithShards(n int, warmup uint64) Opt {
 	return func(o *Options) { o.Shards, o.Warmup = n, warmup }
 }
 
-// WithWalkParams overrides the walkcpi family's walk model: pwc is the
-// page-walk-cache capacity and memBytes the memory-side cache size
-// (0 keeps the walk package defaults, negative disables the component).
-func WithWalkParams(pwc, memBytes int) Opt {
-	return func(o *Options) { o.WalkPWC, o.WalkMemBytes = pwc, memBytes }
-}
+// WithWalk overrides the walkcpi family's walk model.
+func WithWalk(cfg walk.Config) Opt { return func(o *Options) { o.Walk = &cfg } }
 
 // NewOptions builds a normalized Options from functional options.
 func NewOptions(opts ...Opt) *Options {
@@ -184,8 +175,9 @@ func (o *Options) specs() ([]workload.Spec, error) {
 	return out, nil
 }
 
-// render writes the table in the option's format.
-func (o *Options) render(tbl *tableio.Table, w io.Writer) error {
+// Render writes the table in the option's format: JSON, CSV, or an
+// aligned table.
+func (o *Options) Render(tbl *tableio.Table, w io.Writer) error {
 	switch {
 	case o.JSON:
 		return tbl.JSON(w)
@@ -474,55 +466,73 @@ func (r *Runner) Run(ctx context.Context, id string) error {
 	if err != nil {
 		return fmt.Errorf("experiments: %s: %w", id, err)
 	}
-	return r.opts.render(tbl, r.opts.Out)
+	return r.opts.Render(tbl, r.opts.Out)
 }
 
 // RunAll executes the named experiments (all of them when ids is empty)
 // concurrently over the shared engine and flushes their tables in
-// request order. Each experiment runs on its own coordinator goroutine;
-// the engine's pool bounds the actual simulation work. The first error
-// (in request order) is returned, and tables after it are not written —
-// matching what a sequential run would have printed.
+// request order. The first error (in request order) is returned, and
+// tables after it are not written — matching what a sequential run
+// would have printed.
 func (r *Runner) RunAll(ctx context.Context, ids ...string) error {
-	exps := make([]Experiment, 0, len(registry))
 	if len(ids) == 0 {
-		exps = append(exps, registry...)
-	} else {
-		for _, id := range ids {
-			e, err := Get(id)
-			if err != nil {
-				return err
-			}
-			exps = append(exps, e)
+		for _, e := range registry {
+			ids = append(ids, e.ID)
 		}
 	}
-
-	type outcome struct {
-		buf bytes.Buffer
-		err error
-	}
-	outs := make([]outcome, len(exps))
-	var wg sync.WaitGroup
-	for i, e := range exps {
-		wg.Add(1)
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			tbl, err := e.Run(ctx, r.opts)
-			if err != nil {
-				outs[i].err = fmt.Errorf("experiments: %s: %w", e.ID, err)
-				return
-			}
-			outs[i].err = r.opts.render(tbl, &outs[i].buf)
-		}(i, e)
-	}
-	wg.Wait()
-	for i := range outs {
-		if outs[i].err != nil {
-			return outs[i].err
+	for _, id := range ids {
+		if _, err := Get(id); err != nil {
+			return err
 		}
-		if _, err := outs[i].buf.WriteTo(r.opts.Out); err != nil {
+	}
+	for _, o := range r.Each(ctx, ids, nil) {
+		if o.Err != nil {
+			return o.Err
+		}
+		if _, err := r.opts.Out.Write(o.Out); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Outcome is one experiment's rendered output, or the error that
+// stopped it, and its wall time.
+type Outcome struct {
+	Out []byte
+	Dur time.Duration
+	Err error
+}
+
+// Each runs the named experiments concurrently, each on its own
+// coordinator goroutine (the engine's pool bounds the simulation work),
+// and renders each table into its outcome with render (Options.Render
+// when nil). Outcomes are in request order; an unknown ID fails only
+// its own outcome.
+func (r *Runner) Each(ctx context.Context, ids []string, render func(Experiment, *tableio.Table, io.Writer) error) []Outcome {
+	if render == nil {
+		render = func(_ Experiment, tbl *tableio.Table, w io.Writer) error { return r.opts.Render(tbl, w) }
+	}
+	outs := make([]Outcome, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(o *Outcome, id string) {
+			defer wg.Done()
+			start := time.Now() //paperlint:ignore determinism Dur goes to stderr and the run report's masked wall_ms, never into a table
+			var buf bytes.Buffer
+			e, err := Get(id)
+			if err == nil {
+				var tbl *tableio.Table
+				if tbl, err = e.Run(ctx, r.opts); err != nil {
+					err = fmt.Errorf("experiments: %s: %w", id, err)
+				} else {
+					err = render(e, tbl, &buf)
+				}
+			}
+			o.Out, o.Err, o.Dur = buf.Bytes(), err, time.Since(start)
+		}(&outs[i], id)
+	}
+	wg.Wait()
+	return outs
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"twopage/internal/addr"
 	"twopage/internal/disk"
@@ -81,6 +82,9 @@ func (c *Config) normalize() error {
 	}
 	if c.TLBHitCycles == 0 {
 		c.TLBHitCycles = 1
+	}
+	if !(c.FaultCycles >= 0 && c.FaultCycles <= math.MaxFloat64) {
+		return fmt.Errorf("mmu: FaultCycles must be finite and non-negative, got %g", c.FaultCycles)
 	}
 	if c.FaultCycles == 0 {
 		c.FaultCycles = 500

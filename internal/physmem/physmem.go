@@ -61,11 +61,15 @@ type Allocator struct {
 	stats     Stats
 }
 
+// maxSize bounds the managed memory: 1TB is 2^28 frames, whose free
+// bitmaps take 64MB.
+const maxSize = 1 << 40
+
 // New returns an allocator managing the given memory size, which must be
-// a positive multiple of the large frame size (32KB).
+// a positive multiple of the large frame size (32KB), at most 1TB.
 func New(size addr.PageSize) (*Allocator, error) {
-	if size == 0 || uint64(size)%addr.ChunkSize != 0 {
-		return nil, fmt.Errorf("physmem: size %d is not a positive multiple of 32KB", size)
+	if size == 0 || uint64(size)%addr.ChunkSize != 0 || size > maxSize {
+		return nil, fmt.Errorf("physmem: size %d is not a positive multiple of 32KB up to 1TB", size)
 	}
 	a := &Allocator{
 		frames:    uint64(size) / addr.BlockSize,

@@ -289,9 +289,13 @@ type Config struct {
 	Seed uint64
 }
 
+// maxEntries bounds Config.Entries, so a typed size fails as an error
+// instead of an allocation the process cannot make.
+const maxEntries = 1 << 20
+
 func (c *Config) normalize() error {
-	if c.Entries <= 0 {
-		return fmt.Errorf("tlb: entries must be positive, got %d", c.Entries)
+	if c.Entries <= 0 || c.Entries > maxEntries {
+		return fmt.Errorf("tlb: entries must be in [1, %d], got %d", maxEntries, c.Entries)
 	}
 	if c.Ways == 0 {
 		c.Ways = c.Entries

@@ -7,6 +7,9 @@ import (
 	"os"
 )
 
+// ErrFormat reports a format name OpenPath does not know.
+var ErrFormat = errors.New("trace: unknown format")
+
 // OpenPath opens a trace file in any of the repository's formats and
 // returns a Reader over it. format selects the decoder: "v2", "binary"
 // (the v1 interleaved format), "text", or "auto" ("" is auto), which
@@ -33,7 +36,7 @@ func OpenPath(path, format string) (Reader, io.Closer, error) {
 		}
 	case "v2", "binary", "text":
 	default:
-		return nil, nil, fmt.Errorf("trace: unknown format %q (want auto, v2, binary, or text)", format)
+		return nil, nil, fmt.Errorf("%w %q (want auto, v2, binary, or text)", ErrFormat, format)
 	}
 	if format == "v2" {
 		f, err := OpenFile(path)

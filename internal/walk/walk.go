@@ -53,6 +53,13 @@ const (
 	DefaultMissCycles = 6 * uint64(pagetable.LoadCycles)
 )
 
+// Capacity limits, so a typed size fails as an error instead of an
+// allocation the process cannot make.
+const (
+	maxPWCEntries = 1 << 20
+	maxMemBytes   = 1 << 28
+)
+
 // ptesPerLine is how many 8-byte descriptors share one memory-side
 // cache line; lineAddr spaces synthesized addresses by it.
 const pteBytes = 8
@@ -115,11 +122,11 @@ func (c Config) normalized() (Config, error) {
 	if c.Classes.N() < 2 {
 		return Config{}, fmt.Errorf("walk: need at least two size classes, got %d", c.Classes.N())
 	}
-	if c.PWCEntries < 0 {
-		return Config{}, fmt.Errorf("walk: negative PWC capacity %d", c.PWCEntries)
+	if c.PWCEntries < 0 || c.PWCEntries > maxPWCEntries {
+		return Config{}, fmt.Errorf("walk: PWC capacity must be in [0, %d], got %d", maxPWCEntries, c.PWCEntries)
 	}
-	if c.MemBytes < 0 {
-		return Config{}, fmt.Errorf("walk: negative memory-cache capacity %d", c.MemBytes)
+	if c.MemBytes < 0 || c.MemBytes > maxMemBytes {
+		return Config{}, fmt.Errorf("walk: memory-cache capacity must be in [0, %d] bytes, got %d", maxMemBytes, c.MemBytes)
 	}
 	if c.MemBytes > 0 && c.MemWays == 0 {
 		c.MemWays = DefaultMemWays

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -75,8 +76,9 @@ func parseFields(parts []string) (fields, error) {
 	return f, nil
 }
 
-// size parses "128", "4K", "16M", "0x1000".
-func parseSize(s string) (uint64, error) {
+// ParseSize parses a byte count: "128", "4K", "16M", "1G", "0x1000"
+// (suffixes are binary multiples, case-insensitive).
+func ParseSize(s string) (uint64, error) {
 	mult := uint64(1)
 	up := strings.ToUpper(s)
 	switch {
@@ -94,7 +96,7 @@ func parseSize(s string) (uint64, error) {
 	} else {
 		v, err = strconv.ParseUint(up, 10, 64)
 	}
-	if err != nil {
+	if err != nil || v > math.MaxUint64/mult {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return v * mult, nil
@@ -105,7 +107,7 @@ func (f fields) size(key string, def uint64) (uint64, error) {
 	if !ok {
 		return def, nil
 	}
-	return parseSize(s)
+	return ParseSize(s)
 }
 
 func (f fields) sizeReq(key string) (uint64, error) {
@@ -113,7 +115,7 @@ func (f fields) sizeReq(key string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("missing required field %q", key)
 	}
-	return parseSize(s)
+	return ParseSize(s)
 }
 
 func (f fields) float(key string, def float64) (float64, error) {
@@ -133,7 +135,7 @@ func (f fields) intVal(key string, def int) (int, error) {
 	if !ok {
 		return def, nil
 	}
-	v, err := parseSize(s)
+	v, err := ParseSize(s)
 	if err != nil {
 		return 0, err
 	}
@@ -326,7 +328,7 @@ func (p *specParser) parseStream(kind string, f fields) error {
 		}
 		var bases []addr.VA
 		for _, b := range strings.Split(raw, ",") {
-			v, err := parseSize(b)
+			v, err := ParseSize(b)
 			if err != nil {
 				return err
 			}

@@ -122,14 +122,14 @@ func TestParseSizeSuffixes(t *testing.T) {
 		"2k":     2048,
 	}
 	for in, want := range cases {
-		got, err := parseSize(in)
+		got, err := ParseSize(in)
 		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", in, got, err, want)
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "4KB", "-3"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q) should fail", bad)
+	for _, bad := range []string{"", "abc", "4KB", "-3", "17179869184G"} {
+		if _, err := ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) should fail", bad)
 		}
 	}
 }

@@ -45,12 +45,16 @@ lint-extra:
 # verify is the pre-merge gate: static checks (vet, then the paperlint
 # invariant suite, then the pinned external checkers), a full build,
 # and the test suite under the race detector (the engine is concurrent;
-# races are correctness bugs here, not style).
+# races are correctness bugs here, not style). simbench/ is a module of
+# its own, so the root ./... skips it; it is vetted and built
+# separately, so an API break in a package it uses fails here too.
 verify:
 	$(GO) vet ./...
+	cd simbench && $(GO) vet ./...
 	$(MAKE) paperlint
 	$(MAKE) lint-extra
 	$(GO) build ./...
+	cd simbench && $(GO) build -o /dev/null ./...
 	$(GO) test -race ./...
 
 # bench runs the repository benchmark (simbench/, declared in

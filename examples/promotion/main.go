@@ -41,7 +41,7 @@ func main() {
 
 	// OS substrates: a 16MB physical memory and a two-size page table.
 	mem := physmem.MustNew(16 << 20)
-	pt := pagetable.New()
+	pt := pagetable.NewNTable(pol.SizeClasses())
 
 	src := workload.MustNew("li", refs)
 	buf := make([]trace.Ref, 4096)
@@ -100,7 +100,7 @@ func main() {
 
 // ensureMapped faults the page in (maps it) if the page table misses,
 // like a soft page-fault handler would.
-func ensureMapped(pt *pagetable.Table, mem *physmem.Allocator, p policy.Page) {
+func ensureMapped(pt *pagetable.NTable, mem *physmem.Allocator, p policy.Page) {
 	if _, walk := pt.Lookup(p.Base()); walk.Found {
 		return
 	}
@@ -109,7 +109,7 @@ func ensureMapped(pt *pagetable.Table, mem *physmem.Allocator, p policy.Page) {
 		if err != nil {
 			return // leave unmapped under memory pressure
 		}
-		if err := pt.MapLarge(p.Number, frame); err != nil {
+		if err := pt.Map(1, p.Number, frame); err != nil {
 			mem.Free(frame)
 		}
 		return
@@ -118,30 +118,30 @@ func ensureMapped(pt *pagetable.Table, mem *physmem.Allocator, p policy.Page) {
 	if err != nil {
 		return
 	}
-	if err := pt.MapSmall(p.Number, frame); err != nil {
+	if err := pt.Map(0, p.Number, frame); err != nil {
 		mem.Free(frame)
 	}
 }
 
 // promote reshapes the chunk's mappings: new 32KB frame, copy resident
 // blocks, free the old small frames.
-func promote(pt *pagetable.Table, mem *physmem.Allocator, c addr.PN) {
+func promote(pt *pagetable.NTable, mem *physmem.Allocator, c addr.PN) {
 	newFrame, err := mem.AllocLarge()
 	if err != nil {
 		return
 	}
-	freed, _, err := pt.Promote(c, newFrame)
+	freed, _, err := pt.Promote(1, c, newFrame)
 	if err != nil {
 		mem.Free(newFrame)
 		return
 	}
 	for _, f := range freed {
-		mem.Free(f)
+		mem.Free(f.Frame)
 	}
 }
 
 // demote splits the large mapping back into eight small frames.
-func demote(pt *pagetable.Table, mem *physmem.Allocator, c addr.PN) {
+func demote(pt *pagetable.NTable, mem *physmem.Allocator, c addr.PN) {
 	var frames [addr.BlocksPerChunk]addr.PN
 	for i := range frames {
 		f, err := mem.AllocSmall()
@@ -150,7 +150,7 @@ func demote(pt *pagetable.Table, mem *physmem.Allocator, c addr.PN) {
 		}
 		frames[i] = f
 	}
-	old, err := pt.Demote(c, frames)
+	old, err := pt.Demote(1, c, frames[:])
 	if err != nil {
 		for _, f := range frames {
 			mem.Free(f)

@@ -274,10 +274,7 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	case *policy.TwoSize:
 		st := pol.Stats()
 		s.warmTwo = &st
-	case *policy.Ladder:
-		st := pol.Stats()
-		s.warmLadder = &st
-	case *policy.Napot:
+	case interface{ Stats() policy.LadderStats }: // *policy.Ladder, *policy.Napot
 		st := pol.Stats()
 		s.warmLadder = &st
 	}
@@ -358,13 +355,7 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 			st.Sub(*s.warmTwo)
 		}
 		out.PolicyStats = &st
-	case *policy.Ladder:
-		st := pol.Stats()
-		if s.warmLadder != nil {
-			st.Sub(*s.warmLadder)
-		}
-		out.LadderStats = &st
-	case *policy.Napot:
+	case interface{ Stats() policy.LadderStats }: // *policy.Ladder, *policy.Napot
 		st := pol.Stats()
 		if s.warmLadder != nil {
 			st.Sub(*s.warmLadder)

@@ -1,11 +1,11 @@
 // Package mmu assembles the full address-translation path of a
-// two-page-size system: TLB lookup, software miss handling against the
-// two-size page table, demand paging with physical frame allocation,
-// and a clock page-replacement policy that accommodates both page
-// sizes — the machinery the paper's conclusion lists as open operating
-// system problems ("efficient TLB miss handling, page-size assignment
-// policies, memory management and page replacement policies for
-// multiple page size systems").
+// two-page-size system: TLB lookup, software miss handling against a
+// pagetable.NTable over the 4KB/32KB pair, demand paging with physical
+// frame allocation, and a clock page-replacement policy that
+// accommodates both page sizes — the machinery the paper's conclusion
+// lists as open operating system problems ("efficient TLB miss
+// handling, page-size assignment policies, memory management and page
+// replacement policies for multiple page size systems").
 //
 // Cycle accounting follows the paper's models: 1 cycle for a TLB hit,
 // the page-table walk cost (≈20/25 cycles, internal/pagetable) for a
@@ -58,6 +58,10 @@ type Config struct {
 	Disk *disk.Model
 }
 
+// twoSize is the one hierarchy the MMU supports: the paper's 4KB
+// blocks (class 0) and 32KB chunks (class 1).
+var twoSize = addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift)
+
 func (c *Config) normalize() error {
 	if c.TLB == nil {
 		return errors.New("mmu: Config.TLB is required")
@@ -65,19 +69,13 @@ func (c *Config) normalize() error {
 	if c.Policy == nil {
 		return errors.New("mmu: Config.Policy is required")
 	}
-	if ts, ok := c.Policy.(*policy.TwoSize); ok {
-		if ts.Config().LargeShift != addr.ChunkShift {
-			return fmt.Errorf("mmu: only 32KB large pages are supported, policy uses %d-bit shift",
-				ts.Config().LargeShift)
-		}
-	} else if mp, ok := c.Policy.(policy.MultiSize); ok {
+	if mp, ok := c.Policy.(policy.MultiSize); ok {
 		// The frame allocator and replacement clock understand exactly the
-		// paper's two sizes; a deeper hierarchy would emit pages the buddy
+		// paper's two sizes; any other hierarchy would emit pages the buddy
 		// allocator cannot back.
-		want := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift)
-		if mp.SizeClasses() != want {
+		if mp.SizeClasses() != twoSize {
 			return fmt.Errorf("mmu: only the %s hierarchy is supported, policy uses %s",
-				want, mp.SizeClasses())
+				twoSize, mp.SizeClasses())
 		}
 	}
 	if c.TLBHitCycles == 0 {
@@ -163,7 +161,7 @@ func unpackKey(k uint64) policy.Page {
 // MMU is a two-page-size memory-management unit with demand paging.
 type MMU struct {
 	cfg   Config
-	pt    *pagetable.Table
+	pt    *pagetable.NTable
 	mem   *physmem.Allocator
 	stats Stats
 
@@ -184,7 +182,7 @@ func New(cfg Config) (*MMU, error) {
 	}
 	return &MMU{
 		cfg:   cfg,
-		pt:    pagetable.New(),
+		pt:    pagetable.NewNTable(twoSize),
 		mem:   mem,
 		where: htab.NewU64(1 << 8),
 	}, nil
@@ -214,9 +212,6 @@ func (m *MMU) Counters() obs.Counters {
 	c.BuddyPeakResident = ms.PeakResident
 	return c
 }
-
-// PageTable exposes the page table for inspection.
-func (m *MMU) PageTable() *pagetable.Table { return m.pt }
 
 // Memory exposes the physical allocator for inspection.
 func (m *MMU) Memory() *physmem.Allocator { return m.mem }
@@ -419,12 +414,12 @@ func (m *MMU) pageIn(p policy.Page) {
 		if !ok {
 			return
 		}
-		if err := m.pt.MapLarge(p.Number, frame); err != nil {
+		if err := m.pt.Map(1, p.Number, frame); err != nil {
 			// Small mappings still exist under this chunk (the policy
 			// promoted but the promote step could not run, e.g. OOM):
 			// drop them and retry once.
 			m.dropSmallUnder(p.Number)
-			if err := m.pt.MapLarge(p.Number, frame); err != nil {
+			if err := m.pt.Map(1, p.Number, frame); err != nil {
 				m.mem.Free(frame)
 				return
 			}
@@ -436,12 +431,12 @@ func (m *MMU) pageIn(p policy.Page) {
 	if !ok {
 		return
 	}
-	if err := m.pt.MapSmall(p.Number, frame); err != nil {
+	if err := m.pt.Map(0, p.Number, frame); err != nil {
 		// Chunk is mapped large while the policy thinks small (stale
 		// after failed demotion): drop the large page and retry.
 		large := policy.Page{Number: addr.ChunkOfBlock(p.Number), Shift: addr.ChunkShift}
 		m.reclaim(large)
-		if err := m.pt.MapSmall(p.Number, frame); err != nil {
+		if err := m.pt.Map(0, p.Number, frame); err != nil {
 			m.mem.Free(frame)
 			return
 		}
@@ -466,7 +461,7 @@ func (m *MMU) promote(c addr.PN) {
 	if !ok {
 		return
 	}
-	freed, copied, err := m.pt.Promote(c, frame)
+	freed, bytes, err := m.pt.Promote(1, c, frame)
 	if err != nil {
 		m.mem.Free(frame)
 		return
@@ -478,12 +473,11 @@ func (m *MMU) promote(c addr.PN) {
 		m.cfg.TLB.Invalidate(p)
 	}
 	for _, f := range freed {
-		m.mem.Free(f)
+		m.mem.Free(f.Frame)
 	}
 	large := policy.Page{Number: c, Shift: addr.ChunkShift}
 	m.insert(large, frame)
 	m.stats.Promotions++
-	bytes := uint64(copied) * addr.BlockSize
 	m.stats.CopiedBytes += bytes
 	m.stats.Cycles += float64(bytes) / m.cfg.CopyBytesPerCycle
 }
@@ -506,7 +500,7 @@ func (m *MMU) demote(c addr.PN) {
 		}
 		frames[i] = f
 	}
-	oldFrame, err := m.pt.Demote(c, frames)
+	oldFrame, err := m.pt.Demote(1, c, frames[:])
 	if err != nil {
 		for _, f := range frames {
 			m.mem.Free(f)

@@ -32,12 +32,11 @@ type Freed struct {
 // with any mapping owns one root node; a node at class k is either one
 // class-k leaf PTE or a table of Fanout(k) class-(k-1) nodes. With two
 // classes this is exactly the paper's chunk model (one large PTE or a
-// block table of eight small PTEs); Table keeps that case's API.
+// block table of eight small PTEs).
 //
 // All nodes live by value in per-class dense arenas: child tables are
 // allocated as contiguous spans, recycled through per-class free lists,
-// so steady-state map/unmap churn allocates nothing — the same arena
-// discipline the two-size table used, extended to per-class spans.
+// so steady-state map/unmap churn allocates nothing.
 type NTable struct {
 	classes addr.SizeClasses
 	idx     *htab.U64 // top-class region -> index in the top arena
@@ -142,7 +141,7 @@ func (t *NTable) subtreeValid(k int, nd node) bool {
 // enclosing region is already mapped at a larger size (demote first),
 // or — for k >= 1 — when the region itself is already mapped or still
 // holds smaller mappings (promote instead). Class-0 mappings may
-// overwrite an existing class-0 PTE, as the two-size table allowed.
+// overwrite an existing class-0 PTE.
 func (t *NTable) Map(k int, pn addr.PN, frame addr.PN) error {
 	n := t.classes.N()
 	if k < 0 || k >= n {
@@ -244,8 +243,8 @@ func (t *NTable) Unmap(va addr.VA) bool {
 
 // Lookup walks the table for va as a size-aware software miss handler
 // would, charging the cost model: trap + size probe + insert, plus one
-// dependent load per level descended. With two classes the charges are
-// exactly the two-size table's. It runs on every simulated TLB miss:
+// dependent load per level descended. With two classes a small-page
+// walk costs the paper's 25 cycles. It runs on every simulated TLB miss:
 // one flat-table probe plus arena indexing, no allocation.
 //
 //paperlint:hot

@@ -8,13 +8,13 @@ import (
 	"twopage/internal/policy"
 )
 
-// MultiSplit generalizes SplitTLB to N size classes: one sub-TLB per
-// class, all probed in parallel, each indexed by its own class's
-// page-number bits (so every half gets exact indexing for the only
-// size it ever sees). It is the natural hardware answer to the paper's
-// option (c) once the hierarchy grows past two sizes — and inherits,
-// per class, the same utilization hazard the paper notes for the
-// two-way split: a class the policy never assigns leaves its half idle.
+// MultiSplit models option (c) of Section 2.2: a separate TLB per page
+// size class, all probed in parallel, each indexed by its own class's
+// page-number bits (so every half gets exact indexing for the only size
+// it ever sees). With two classes it is the paper's small/large split;
+// with more it is the natural hardware answer once the hierarchy grows
+// past two sizes. Either way it carries the utilization hazard the
+// paper notes: a class the policy never assigns leaves its half idle.
 type MultiSplit struct {
 	classes addr.SizeClasses
 	halves  []*SetAssoc

@@ -290,33 +290,48 @@ func TestStatsBreakdownAndReprobes(t *testing.T) {
 	}
 }
 
-func TestSplitTLB(t *testing.T) {
-	sp, err := NewSplit(Config{Entries: 8, Ways: 2}, Config{Entries: 4, Ways: 4})
+// TestMultiSplit drives the paper's two-way split (option (c) of
+// Section 2.2): a 4KB half and a 32KB half, each page routed to its
+// own class.
+func TestMultiSplit(t *testing.T) {
+	sp, err := NewMultiSplit([]Config{{Entries: 8, Ways: 2}, {Entries: 4, Ways: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Entries() != 12 {
 		t.Fatalf("entries = %d", sp.Entries())
 	}
-	if sp.Name() != "split 8+4-entry" {
+	if sp.Name() != "split 8+4-entry per-class" {
 		t.Fatalf("name = %q", sp.Name())
 	}
 	sva, lva := addr.VA(0x1000), addr.VA(0x20000)
 	sp.Access(sva, smallPage(sva))
 	sp.Access(lva, largePage(lva))
-	small, large := sp.Halves()
-	if small.Occupied() != 1 || large.Occupied() != 1 {
-		t.Fatalf("occupancy: small=%d large=%d", small.Occupied(), large.Occupied())
+	halves := sp.Halves()
+	if len(halves) != 2 || halves[0].Occupied() != 1 || halves[1].Occupied() != 1 {
+		t.Fatalf("occupancy: small=%d large=%d", halves[0].Occupied(), halves[1].Occupied())
 	}
 	if !sp.Access(sva, smallPage(sva)) || !sp.Access(lva, largePage(lva)) {
 		t.Fatal("both should hit their half")
 	}
 	st := sp.Stats()
-	if st.Accesses != 4 || st.HitsByClass[0] != 1 || st.HitsByClass[1] != 1 {
+	if st.Accesses != 4 || st.Classes != 2 ||
+		st.HitsByClass[0] != 1 || st.HitsByClass[1] != 1 ||
+		st.MissesByClass[0] != 1 || st.MissesByClass[1] != 1 {
 		t.Fatalf("merged stats: %+v", st)
 	}
 	if n := sp.Invalidate(largePage(lva)); n != 1 {
-		t.Fatalf("Invalidate = %d", n)
+		t.Fatalf("Invalidate(large) = %d", n)
+	}
+	if halves[1].Occupied() != 0 || halves[0].Occupied() != 1 {
+		t.Fatalf("invalidating the large page touched the small half: small=%d large=%d",
+			halves[0].Occupied(), halves[1].Occupied())
+	}
+	if n := sp.Invalidate(smallPage(sva)); n != 1 {
+		t.Fatalf("Invalidate(small) = %d", n)
+	}
+	if sp.Access(lva, largePage(lva)) {
+		t.Fatal("invalidated large page must miss")
 	}
 	sp.Flush()
 	if sp.Access(sva, smallPage(sva)) {
@@ -324,12 +339,19 @@ func TestSplitTLB(t *testing.T) {
 	}
 }
 
-func TestSplitTLBBadConfigs(t *testing.T) {
-	if _, err := NewSplit(Config{Entries: 0}, Config{Entries: 4}); err == nil {
-		t.Fatal("bad small half should error")
-	}
-	if _, err := NewSplit(Config{Entries: 4}, Config{Entries: 24, Ways: 2}); err == nil {
-		t.Fatal("bad large half should error")
+func TestMultiSplitBadConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfgs []Config
+	}{
+		{"no halves", nil},
+		{"bad small half", []Config{{Entries: 0}, {Entries: 4}}},
+		{"bad large half", []Config{{Entries: 4}, {Entries: 24, Ways: 2}}},
+		{"one half for two classes", []Config{{Entries: 4}}},
+	} {
+		if _, err := NewMultiSplit(tc.cfgs); err == nil {
+			t.Errorf("%s: NewMultiSplit should error", tc.name)
+		}
 	}
 }
 

@@ -352,7 +352,7 @@ func (p *TwoSize) Assign(va addr.VA) policy.Result {
 }
 
 // ---------------------------------------------------------------------------
-// Reference page table (legacy internal/pagetable.Table)
+// Reference page table (the legacy dense-chunk two-size table)
 
 // Cycle model constants, copied from the legacy package.
 const (

@@ -114,10 +114,19 @@ func (c SizeClasses) N() int { return c.n }
 // Shift returns class k's page shift. It panics for out-of-range k,
 // like a slice index.
 func (c SizeClasses) Shift(k int) uint {
-	if k < 0 || k >= c.n {
-		panic(fmt.Sprintf("addr: size class %d out of range [0,%d)", k, c.n))
+	if uint(k) >= uint(c.n) {
+		classOutOfRange(k, c.n)
 	}
 	return uint(c.shifts[k])
+}
+
+// classOutOfRange panics for Shift's range check. Keeping the message
+// formatting out of Shift's body lets the compiler inline Shift, which
+// the per-reference policy and TLB loops call several times a reference.
+//
+//go:noinline
+func classOutOfRange(k, n int) {
+	panic(fmt.Sprintf("addr: size class %d out of range [0,%d)", k, n))
 }
 
 // TopShift returns the largest class's shift.

@@ -66,6 +66,34 @@ func TestSizeClassesAccessors(t *testing.T) {
 	}
 }
 
+// TestSizeClassesShiftOutOfRange pins Shift's range check: an index
+// outside [0,N) panics with the class and the range, not with a bare
+// index error from the shift array (which has room past N), and not at
+// all silently.
+func TestSizeClassesShiftOutOfRange(t *testing.T) {
+	c := MustShiftClasses(Shift4K, Shift32K, Shift256K)
+	cases := []struct {
+		c    SizeClasses
+		k    int
+		want string
+	}{
+		{c, -1, "addr: size class -1 out of range [0,3)"},
+		{c, 3, "addr: size class 3 out of range [0,3)"},
+		{c, MaxSizeClasses, "addr: size class 4 out of range [0,3)"},
+		{SizeClasses{}, 0, "addr: size class 0 out of range [0,0)"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("Shift(%d) on %d classes panicked with %v, want %q", tc.k, tc.c.N(), got, tc.want)
+				}
+			}()
+			tc.c.Shift(tc.k)
+		}()
+	}
+}
+
 func TestSizeClassesClassOf(t *testing.T) {
 	c := MustSizeClasses(Size4K, Size32K, Size256K)
 	cases := []struct {

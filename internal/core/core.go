@@ -82,13 +82,21 @@ type Result struct {
 
 // Simulator drives references through a policy and a set of TLBs.
 type Simulator struct {
-	pol         policy.Assigner
-	tlbs        []tlb.TLB
+	pol  policy.Assigner
+	tlbs []tlb.TLB
+	// The per-reference loop calls concrete types where it can: ladder
+	// is the policy's *policy.Ladder (a TwoSize's own, or the policy
+	// itself), nil for other policies; sa holds the TLBs when every one
+	// is a *tlb.SetAssoc, nil otherwise. The rest go through pol and
+	// tlbs.
+	ladder      *policy.Ladder
+	sa          []*tlb.SetAssoc
 	missPenalty float64
 	wssCalc     *wss.TwoSize
 	classes     addr.SizeClasses // hierarchy of a MultiSize policy (zero for single-size)
 	pt          *ptShadow        // page-table shadow (WithPageTable)
 	walker      *walk.Walker     // modeled radix walk (WithWalkModel)
+	ran         bool             // Run has been called; a Simulator is single-use
 
 	// Warm-up baselines (see Warm): counter snapshots taken at the end
 	// of the warm-up preroll, subtracted out of Run's results so only
@@ -216,6 +224,21 @@ func WithWalkModel(cfg walk.Config) Option {
 // all driven by the same policy decisions in a single pass.
 func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulator {
 	s := &Simulator{pol: pol, tlbs: tlbs}
+	switch p := pol.(type) {
+	case *policy.Ladder:
+		s.ladder = p
+	case *policy.TwoSize:
+		s.ladder = p.Ladder()
+	}
+	s.sa = make([]*tlb.SetAssoc, len(tlbs))
+	for i, t := range tlbs {
+		sa, ok := t.(*tlb.SetAssoc)
+		if !ok {
+			s.sa = nil
+			break
+		}
+		s.sa[i] = sa
+	}
 	if mp, ok := pol.(policy.MultiSize); ok {
 		s.classes = mp.SizeClasses()
 		s.missPenalty = metrics.MissPenaltyN(s.classes.N())
@@ -243,25 +266,11 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	if s.warmed {
 		return fmt.Errorf("core: Warm called twice")
 	}
+	if s.ran {
+		return fmt.Errorf("core: Warm called after Run")
+	}
 	//paperlint:hot
-	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
-		for _, ref := range batch {
-			res := s.pol.Assign(ref.Addr)
-			if res.Event != policy.EventNone {
-				s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free and error formatting run per promotion/demotion, not per reference
-			}
-			if s.pt != nil {
-				s.ptStep(ref.Addr, res)
-			} else {
-				for _, t := range s.tlbs {
-					t.Access(ref.Addr, res.Page)
-				}
-			}
-			if s.wssCalc != nil {
-				s.wssCalc.ObserveWarm(res)
-			}
-		}
-	})
+	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) { s.step(batch, true) })
 	if err != nil {
 		return fmt.Errorf("core: warm-up failed: %w", err)
 	}
@@ -294,29 +303,20 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 // Cancellation is checked between batches: when ctx is canceled the
 // simulation stops mid-trace and Run returns the context's error.
 func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
+	if s.ran {
+		return nil, fmt.Errorf("core: Run called twice")
+	}
+	s.ran = true
 	var refs, instrs uint64
 	//paperlint:hot
 	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
+		refs += uint64(len(batch))
 		for _, ref := range batch {
-			refs++
 			if ref.Kind == trace.Instr {
 				instrs++
 			}
-			res := s.pol.Assign(ref.Addr)
-			if res.Event != policy.EventNone {
-				s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free and error formatting run per promotion/demotion, not per reference
-			}
-			if s.pt != nil {
-				s.ptStep(ref.Addr, res)
-			} else {
-				for _, t := range s.tlbs {
-					t.Access(ref.Addr, res.Page)
-				}
-			}
-			if s.wssCalc != nil {
-				s.wssCalc.Observe(res)
-			}
 		}
+		s.step(batch, false)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: simulation failed: %w", err)
@@ -383,6 +383,54 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 	out.Counters = resultCounters(out)
 	out.Counters.Add(DecodeCounters(r))
 	return out, nil
+}
+
+// step drives a batch of references through the pipeline. For each it
+// assigns the page, carries out any transition, probes every TLB, walks
+// the page-table shadow when the first TLB misses, and feeds the
+// working-set calculator (warm keeps the reference out of its average).
+// Run and Warm share it; it calls the concrete ladder and TLBs when
+// NewSimulator resolved them.
+//
+//paperlint:hot
+func (s *Simulator) step(batch []trace.Ref, warm bool) {
+	ladder, sa := s.ladder, s.sa
+	for _, ref := range batch {
+		va := ref.Addr
+		var res policy.Result
+		if ladder != nil {
+			res = ladder.Assign(va)
+		} else {
+			res = s.pol.Assign(va)
+		}
+		if res.Event != policy.EventNone {
+			s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free and error formatting run per promotion/demotion, not per reference
+		}
+		missed := false // the first TLB missed
+		if sa != nil {
+			for i, t := range sa {
+				if !t.Access(va, res.Page) && i == 0 {
+					missed = true
+				}
+			}
+		} else {
+			for i, t := range s.tlbs {
+				if !t.Access(va, res.Page) && i == 0 {
+					missed = true
+				}
+			}
+		}
+		if missed && s.pt != nil {
+			s.ptMiss(va, res.Page)
+		}
+		if s.wssCalc != nil {
+			if warm {
+				s.wssCalc.ObserveWarm(res)
+			} else {
+				s.wssCalc.Observe(res)
+			}
+		}
+	}
 }
 
 // resultCounters assembles the run-report counter block from a finished

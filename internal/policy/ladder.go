@@ -133,6 +133,7 @@ func (s *LadderStats) Merge(o LadderStats) {
 // pressure propagates up the ladder one level per reference.
 type Ladder struct {
 	cfg    LadderConfig
+	shift  [addr.MaxSizeClasses]uint // cfg.Classes' shifts; Assign's loop indexes these (measured faster than Classes.Page there)
 	win    *window.Tracker
 	mapped [addr.MaxSizeClasses]*htab.Set     // k >= 1: regions mapped at class k
 	kids   [addr.MaxSizeClasses]*htab.Counter // k >= 2: region -> mapped class-(k-1) children
@@ -148,6 +149,9 @@ func NewLadder(cfg LadderConfig) *Ladder {
 	l := &Ladder{
 		cfg: cfg,
 		win: window.NewWithChunkShift(cfg.T, cfg.Classes.Shift(1)),
+	}
+	for k := 0; k < n; k++ {
+		l.shift[k] = cfg.Classes.Shift(k)
 	}
 	for k := 1; k < n; k++ {
 		l.mapped[k] = htab.NewSet(1 << 8)
@@ -217,50 +221,63 @@ func (l *Ladder) demote(k int, r addr.PN) {
 	}
 }
 
+// support returns how strongly the class-k region r is backed: its
+// active blocks in the window for k == 1, its mapped class-(k-1)
+// children for k >= 2.
+func (l *Ladder) support(k int, r addr.PN) int {
+	if k == 1 {
+		return l.win.ChunkActive(r)
+	}
+	return int(l.kids[k].Get(uint64(r)))
+}
+
 // Assign implements Assigner: record the reference in the window, apply
 // at most one promotion/demotion (top level first), and resolve the
 // reference to the largest covering mapped class. Per-reference hot
-// path: one window step plus a few flat-table probes.
+// path: one window step plus one flat-table probe per level.
+//
+// Deciding and resolving share a single top-down pass. A transition at
+// level k leaves every level above k as it was probed, so the page is
+// the largest class seen mapped above k — or k itself after a
+// promotion. Only a demotion with nothing mapped above it has to probe
+// the levels below k, and that is the event path.
 //
 //paperlint:hot
 func (l *Ladder) Assign(va addr.VA) Result {
 	l.stats.Refs++
 	l.win.StepVA(va)
-	n := l.cfg.Classes.N()
 	var res Result
-	for k := n - 1; k >= 1; k-- {
-		r := l.cfg.Classes.Page(va, k)
-		var support int
-		if k == 1 {
-			support = l.win.ChunkActive(r)
-		} else {
-			support = int(l.kids[k].Get(uint64(r)))
-		}
-		isMapped := l.mapped[k].Has(uint64(r))
+	top := 0 // largest class seen mapped, 0 for none
+	k := l.cfg.Classes.N() - 1
+	for ; k >= 1; k-- {
+		r := addr.Page(va, l.shift[k])
 		thr := l.cfg.Thresholds[k-1]
-		switch {
-		case !isMapped && support >= thr &&
-			(l.cfg.Deny == nil || !l.cfg.Deny(k, r)):
-			l.promote(k, r)
-			res.Event, res.Chunk, res.Level = EventPromote, r, k
-		case isMapped && l.cfg.Demote && support < thr:
-			l.demote(k, r)
-			res.Event, res.Chunk, res.Level = EventDemote, r, k
-		default:
+		if l.mapped[k].Has(uint64(r)) {
+			if l.cfg.Demote && l.support(k, r) < thr {
+				l.demote(k, r)
+				res.Event, res.Chunk, res.Level = EventDemote, r, k
+				break
+			}
+			top = max(top, k)
 			continue
 		}
-		break
-	}
-	for k := n - 1; k >= 1; k-- {
-		r := l.cfg.Classes.Page(va, k)
-		if l.mapped[k].Has(uint64(r)) {
-			l.stats.RefsByClass[k]++
-			res.Page = Page{Number: r, Shift: l.cfg.Classes.Shift(k)}
-			return res
+		if l.support(k, r) >= thr && (l.cfg.Deny == nil || !l.cfg.Deny(k, r)) {
+			l.promote(k, r)
+			res.Event, res.Chunk, res.Level = EventPromote, r, k
+			top = max(top, k)
+			break
 		}
 	}
-	l.stats.RefsByClass[0]++
-	res.Page = Page{Number: addr.Block(va), Shift: addr.BlockShift}
+	if res.Event == EventDemote && top == 0 {
+		for j := k - 1; j >= 1; j-- {
+			if l.mapped[j].Has(uint64(addr.Page(va, l.shift[j]))) {
+				top = j
+				break
+			}
+		}
+	}
+	l.stats.RefsByClass[top]++
+	res.Page = Page{Number: addr.Page(va, l.shift[top]), Shift: l.shift[top]}
 	return res
 }
 

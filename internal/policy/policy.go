@@ -239,6 +239,11 @@ func (p *TwoSize) Window() *window.Tracker { return p.ladder.Window() }
 // Config returns the policy's configuration.
 func (p *TwoSize) Config() TwoSizeConfig { return p.cfg }
 
+// Ladder returns the two-class ladder the policy runs on. Callers on
+// the per-reference path (core.Simulator) assign through it directly;
+// its Assign is the policy's Assign.
+func (p *TwoSize) Ladder() *Ladder { return p.ladder }
+
 // SizeClasses implements MultiSize.
 func (p *TwoSize) SizeClasses() addr.SizeClasses { return p.ladder.SizeClasses() }
 

@@ -260,14 +260,6 @@ type TLB interface {
 	Name() string
 }
 
-type entry struct {
-	pn       addr.PN
-	shift    uint16
-	valid    bool
-	lastUse  uint64 // LRU timestamp
-	loadedAt uint64 // FIFO timestamp
-}
-
 // Config describes a set-associative (or, with Ways == Entries, fully
 // associative) TLB.
 type Config struct {
@@ -376,12 +368,22 @@ func (c Config) Key() (string, error) {
 type SetAssoc struct {
 	cfg     Config
 	classes addr.SizeClasses
+	// classOf[s] is classes.ClassOf(s), for s < 64 (larger shifts count
+	// as 63): Access's per-reference class lookup as one load.
+	classOf [64]uint8
 	sets    int
 	setBits uint
 	// idxShift is the fixed indexing shift, or -1 for exact indexing
 	// (index with the accessed page's own shift).
 	idxShift int
-	entries  []entry // sets × ways
+	// The entries, sets × ways, as parallel arrays: the hit scan reads
+	// only pn and tag, 9 bytes a way. tag is the page shift (below 63)
+	// plus one, 0 for an invalid way. lastUse is the LRU timestamp,
+	// loadedAt the FIFO one.
+	pn       []addr.PN
+	tag      []uint8
+	lastUse  []uint64
+	loadedAt []uint64
 	clock    uint64
 	rng      uint64
 	stats    Stats
@@ -419,16 +421,23 @@ func New(cfg Config) (*SetAssoc, error) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &SetAssoc{
+	t := &SetAssoc{
 		cfg:      cfg,
 		classes:  classes,
 		sets:     sets,
 		setBits:  setBits,
 		idxShift: idxShift,
-		entries:  make([]entry, cfg.Entries),
+		pn:       make([]addr.PN, cfg.Entries),
+		tag:      make([]uint8, cfg.Entries),
+		lastUse:  make([]uint64, cfg.Entries),
+		loadedAt: make([]uint64, cfg.Entries),
 		rng:      seed,
 		stats:    NewStats(classes),
-	}, nil
+	}
+	for s := range t.classOf {
+		t.classOf[s] = uint8(classes.ClassOf(uint(s)))
+	}
+	return t, nil
 }
 
 // MustNew is New, panicking on error; for tests and tables of known-good
@@ -489,6 +498,50 @@ func (t *SetAssoc) xorshift() uint64 {
 	return t.rng
 }
 
+// tagOf returns the tag a valid entry for page p carries.
+func tagOf(p policy.Page) uint8 { return uint8(p.Shift) + 1 }
+
+// lookup returns the way of the set starting at base that holds page
+// p, or -1. It reads only the pn and tag arrays.
+func (t *SetAssoc) lookup(base int, p policy.Page) int {
+	want := tagOf(p)
+	pn := t.pn[base : base+t.cfg.Ways]
+	tag := t.tag[base : base+len(pn)]
+	for i, n := range pn {
+		if n == p.Number && tag[i] == want {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// fill installs page p in the set starting at base: into the first
+// invalid way, else over the replacement policy's victim, which it
+// returns as the evicted page.
+func (t *SetAssoc) fill(base int, p policy.Page) (evicted policy.Page, hadEvict bool) {
+	way := -1
+	if t.occupied < len(t.tag) { // a full TLB has no invalid way to find
+		for i, g := range t.tag[base : base+t.cfg.Ways] {
+			if g == 0 {
+				way = base + i
+				break
+			}
+		}
+	}
+	if way < 0 {
+		way = t.pickVictim(base)
+		evicted = policy.Page{Number: t.pn[way], Shift: uint(t.tag[way] - 1)}
+		hadEvict = true
+	} else {
+		t.occupied++
+	}
+	t.pn[way] = p.Number
+	t.tag[way] = tagOf(p)
+	t.lastUse[way] = t.clock
+	t.loadedAt[way] = t.clock
+	return evicted, hadEvict
+}
+
 // Access implements TLB. This is the per-reference hot path: the
 // AllocsPerRun test pins it to zero steady-state allocations.
 //
@@ -496,62 +549,39 @@ func (t *SetAssoc) xorshift() uint64 {
 func (t *SetAssoc) Access(va addr.VA, p policy.Page) bool {
 	t.clock++
 	t.stats.Accesses++
-	k := t.classes.ClassOf(uint(p.Shift))
-	idx := t.index(va, p)
-	base := int(idx) * t.cfg.Ways
-	set := t.entries[base : base+t.cfg.Ways]
-	victim := -1
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			if victim < 0 {
-				victim = i
-			}
-			continue
-		}
-		if e.pn == p.Number && uint(e.shift) == p.Shift {
-			e.lastUse = t.clock
-			t.stats.HitsByClass[k]++
-			return true
-		}
+	k := t.classOf[min(p.Shift, 63)]
+	base := int(t.index(va, p)) * t.cfg.Ways
+	if i := t.lookup(base, p); i >= 0 {
+		t.lastUse[i] = t.clock
+		t.stats.HitsByClass[k]++
+		return true
 	}
 	t.stats.MissesByClass[k]++
-	if victim < 0 {
-		victim = t.pickVictim(set)
-	} else {
-		t.occupied++
-	}
-	set[victim] = entry{
-		pn:       p.Number,
-		shift:    uint16(p.Shift),
-		valid:    true,
-		lastUse:  t.clock,
-		loadedAt: t.clock,
-	}
+	t.fill(base, p)
 	return false
 }
 
-func (t *SetAssoc) pickVictim(set []entry) int {
+// pickVictim chooses the way of the full set starting at base to
+// replace: the oldest by lastUse (LRU) or loadedAt (FIFO), the first
+// such way on ties, or a uniform xorshift draw (Random).
+func (t *SetAssoc) pickVictim(base int) int {
+	ways := t.cfg.Ways
+	var stamps []uint64
 	switch t.cfg.Repl {
 	case FIFO:
-		v, oldest := 0, set[0].loadedAt
-		for i := 1; i < len(set); i++ {
-			if set[i].loadedAt < oldest {
-				v, oldest = i, set[i].loadedAt
-			}
-		}
-		return v
+		stamps = t.loadedAt[base : base+ways]
 	case Random:
-		return int(t.xorshift() % uint64(len(set)))
+		return base + int(t.xorshift()%uint64(ways))
 	default: // LRU
-		v, oldest := 0, set[0].lastUse
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < oldest {
-				v, oldest = i, set[i].lastUse
-			}
-		}
-		return v
+		stamps = t.lastUse[base : base+ways]
 	}
+	v, oldest := 0, stamps[0]
+	for i := 1; i < len(stamps); i++ {
+		if stamps[i] < oldest {
+			v, oldest = i, stamps[i]
+		}
+	}
+	return base + v
 }
 
 // Invalidate implements TLB. Because IndexSmall can replicate one large
@@ -560,10 +590,10 @@ func (t *SetAssoc) pickVictim(set []entry) int {
 // this costs nothing measurable.
 func (t *SetAssoc) Invalidate(p policy.Page) int {
 	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.pn == p.Number && uint(e.shift) == p.Shift {
-			e.valid = false
+	want := tagOf(p)
+	for i, pn := range t.pn {
+		if pn == p.Number && t.tag[i] == want {
+			t.tag[i] = 0
 			n++
 		}
 	}
@@ -574,9 +604,10 @@ func (t *SetAssoc) Invalidate(p policy.Page) int {
 
 // Flush implements TLB.
 func (t *SetAssoc) Flush() {
-	for i := range t.entries {
-		t.entries[i] = entry{}
-	}
+	clear(t.pn)
+	clear(t.tag)
+	clear(t.lastUse)
+	clear(t.loadedAt)
 	t.occupied = 0
 }
 
@@ -590,9 +621,9 @@ func (t *SetAssoc) Occupied() int { return t.occupied }
 // Contains reports whether the page currently has a valid entry, without
 // disturbing replacement state. For tests and inspection.
 func (t *SetAssoc) Contains(p policy.Page) bool {
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.pn == p.Number && uint(e.shift) == p.Shift {
+	want := tagOf(p)
+	for i, pn := range t.pn {
+		if pn == p.Number && t.tag[i] == want {
 			return true
 		}
 	}
@@ -607,18 +638,13 @@ var _ TLB = (*SetAssoc)(nil)
 // It is the building block wrappers (victim buffers, prefetchers) use
 // to compose TLBs while keeping their own accounting.
 func (t *SetAssoc) Probe(va addr.VA, p policy.Page) bool {
-	idx := t.index(va, p)
-	base := int(idx) * t.cfg.Ways
-	set := t.entries[base : base+t.cfg.Ways]
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.pn == p.Number && uint(e.shift) == p.Shift {
-			t.clock++
-			e.lastUse = t.clock
-			return true
-		}
+	i := t.lookup(int(t.index(va, p))*t.cfg.Ways, p)
+	if i < 0 {
+		return false
 	}
-	return false
+	t.clock++
+	t.lastUse[i] = t.clock
+	return true
 }
 
 // Insert installs the page (evicting if the set is full), returning the
@@ -627,36 +653,10 @@ func (t *SetAssoc) Probe(va addr.VA, p policy.Page) bool {
 // index scheme as Access.
 func (t *SetAssoc) Insert(va addr.VA, p policy.Page) (evicted policy.Page, hadEvict bool) {
 	t.clock++
-	idx := t.index(va, p)
-	base := int(idx) * t.cfg.Ways
-	set := t.entries[base : base+t.cfg.Ways]
-	victim := -1
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			if victim < 0 {
-				victim = i
-			}
-			continue
-		}
-		if e.pn == p.Number && uint(e.shift) == p.Shift {
-			e.lastUse = t.clock
-			return policy.Page{}, false // already present
-		}
+	base := int(t.index(va, p)) * t.cfg.Ways
+	if i := t.lookup(base, p); i >= 0 {
+		t.lastUse[i] = t.clock
+		return policy.Page{}, false // already present
 	}
-	if victim < 0 {
-		victim = t.pickVictim(set)
-		evicted = policy.Page{Number: set[victim].pn, Shift: uint(set[victim].shift)}
-		hadEvict = true
-	} else {
-		t.occupied++
-	}
-	set[victim] = entry{
-		pn:       p.Number,
-		shift:    uint16(p.Shift),
-		valid:    true,
-		lastUse:  t.clock,
-		loadedAt: t.clock,
-	}
-	return evicted, hadEvict
+	return t.fill(base, p)
 }

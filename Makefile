@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK = honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test verify lint paperlint lint-extra bench bench-report golden golden-update paper
+.PHONY: all build test verify fmt-check lint paperlint lint-extra bench bench-report golden golden-update paper
 
 all: build
 
@@ -16,6 +16,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails when a Go file is not gofmt-formatted. Analyzer
+# fixtures under testdata/ are exempt: their layout is part of what the
+# analyzer tests pin.
+GOFMT ?= $(shell $(GO) env GOROOT)/bin/gofmt
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.git/*' | xargs $(GOFMT) -l); \
+		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # paperlint runs the repository's own invariant analyzers (package
 # twopage/internal/analysis): determinism, hotalloc (interprocedural),
@@ -42,13 +50,14 @@ lint-extra:
 		|| { [ "$(CI)" = "true" ] && exit 1 \
 		|| echo "warning: govulncheck unavailable or failed (offline?); CI will enforce it"; }
 
-# verify is the pre-merge gate: static checks (vet, then the paperlint
+# verify is the pre-merge gate: static checks (gofmt, vet, then the paperlint
 # invariant suite, then the pinned external checkers), a full build,
 # and the test suite under the race detector (the engine is concurrent;
 # races are correctness bugs here, not style). simbench/ is a module of
 # its own, so the root ./... skips it; it is vetted and built
 # separately, so an API break in a package it uses fails here too.
 verify:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	cd simbench && $(GO) vet ./...
 	$(MAKE) paperlint

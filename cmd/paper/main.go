@@ -245,7 +245,7 @@ func splitWorkloads(s string) ([]string, error) {
 			continue
 		}
 		if _, err := workload.Get(name); err != nil {
-			return nil, fmt.Errorf("-workloads: %w", err)
+			return nil, cli.Usage("-workloads", err)
 		}
 		names = append(names, name)
 	}

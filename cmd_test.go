@@ -202,6 +202,10 @@ func TestCommandLineTools(t *testing.T) {
 			{"vmsim-faultcycles-negative", "vmsim", "-faultcycles", []string{"-workload", "li", "-refs", "1000", "-faultcycles", "-5"}},
 			{"traceinfo-format-unknown", "traceinfo", "-format", []string{"-trace", "missing.trc", "-format", "bogus"}},
 			{"tracegen-format-unknown", "tracegen", "-format", []string{"-workload", "li", "-refs", "1000", "-o", os.DevNull, "-format", "v3"}},
+			{"tlbsim-workload-unknown", "tlbsim", "-workload", []string{"-workload", "nosuch", "-refs", "1000"}},
+			{"wsssim-workload-unknown", "wsssim", "-workload", []string{"-workload", "nosuch", "-refs", "1000"}},
+			{"vmsim-workload-unknown", "vmsim", "-workload", []string{"-workload", "nosuch", "-refs", "1000"}},
+			{"paper-workloads-unknown", "paper", "-workloads", []string{"-scale", "0.01", "-workloads", "nosuch", "table3.1"}},
 		}
 		bins := map[string]string{}
 		for _, tc := range cases {

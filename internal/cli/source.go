@@ -67,8 +67,8 @@ type Stream struct {
 }
 
 // Open resolves the flags into a stream: -trace first, then -spec, then
-// -workload. Naming none of them, or an unknown -format, is a usage
-// error.
+// -workload. Naming none of them, an unknown -workload name or an
+// unknown -format is a usage error.
 func (s *Source) Open() (*Stream, error) {
 	switch {
 	case s.Trace != nil && *s.Trace != "":
@@ -87,7 +87,7 @@ func (s *Source) Open() (*Stream, error) {
 	case *s.Workload != "":
 		spec, err := workload.Get(*s.Workload)
 		if err != nil {
-			return nil, err
+			return nil, Usage("-workload", err)
 		}
 		n := s.refsOr(spec.DefaultRefs)
 		return &Stream{Reader: spec.New(n), Name: spec.Name, Refs: n, Closer: io.NopCloser(nil)}, nil

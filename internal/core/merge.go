@@ -143,3 +143,36 @@ func MergeResults(parts []*Result) *Result {
 	}
 	return out
 }
+
+// Part returns what a pass of TLB i alone would have returned, given r
+// from a pass that drove several TLBs through the same trace and
+// policy: TLB i's result (none when i < 0), the shared policy-side
+// fields, the working set only when withWSS, and counters rebuilt from
+// those plus the pass's decode work, which every part read in full.
+// Each TLB sees the same policy decisions and invalidations whatever
+// else shares the pass, so the part equals the solo pass exactly. r
+// must not carry a page-table shadow or walk model: those hang off the
+// first TLB's misses and have no per-TLB split.
+func (r *Result) Part(i int, withWSS bool) *Result {
+	out := &Result{Policy: r.Policy, Refs: r.Refs, Instrs: r.Instrs, RPI: r.RPI}
+	if i >= 0 {
+		out.TLBs = []TLBResult{r.TLBs[i]}
+	}
+	if withWSS && r.WSS != nil {
+		w := *r.WSS
+		out.WSS = &w
+	}
+	if r.PolicyStats != nil {
+		st := *r.PolicyStats
+		out.PolicyStats = &st
+	}
+	if r.LadderStats != nil {
+		st := *r.LadderStats
+		out.LadderStats = &st
+	}
+	out.Counters = resultCounters(out)
+	out.Counters.DecodedRefs = r.Counters.DecodedRefs
+	out.Counters.DecodedBlocks = r.Counters.DecodedBlocks
+	out.Counters.DecodedBytes = r.Counters.DecodedBytes
+	return out
+}

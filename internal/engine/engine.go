@@ -1,16 +1,19 @@
-// Package engine schedules simulation work units across a bounded
-// worker pool, memoizing repeated units so that experiments sharing a
-// (workload, refs, policy, TLB-configuration) pass simulate it once.
+// Package engine schedules simulation work across a bounded worker
+// pool, memoizing repeated units so that experiments sharing a
+// (workload, refs, policy, TLB-configuration) unit get one result.
 //
 // The paper's evaluation is embarrassingly parallel: every per-workload
-// simulation pass is independent of every other, the same property that
-// lets one stack-simulation pass stand in for 84 TLB configurations
-// (Section 3.3). The engine exploits the coarser grain: experiments
-// submit their work units up front (Unit, PassSpec, or opaque funcs via
-// Go), the pool executes them on up to Parallelism goroutines, and the
-// experiments reassemble rows from the returned futures in their own
-// deterministic order — so output is byte-identical regardless of the
-// parallelism level.
+// simulation pass is independent of every other. Experiments submit
+// their work up front (Unit, PassSpec, or opaque funcs via Go) and
+// reassemble rows from the returned futures in their own deterministic
+// order — so output is byte-identical regardless of the parallelism
+// level. A Unit is the memo key and the scheduling record, not what
+// executes: the worker that takes a two-size or ladder unit also claims
+// every queued unit with the same (workload, refs, policy) and drives
+// all their TLBs through one trace and policy pass, the one-pass
+// evaluation of many TLB configurations the paper takes from tycho
+// (Section 3.3). Each unit's result is split back out of that pass
+// exactly as its solo run would have returned it.
 //
 // Two rules keep the pool deadlock-free:
 //
@@ -67,10 +70,12 @@ type Engine struct {
 
 	mu     sync.Mutex
 	passes map[string]*Future[any]
+	queued map[string][]*queuedUnit // units not yet started, by fuse group
 
 	submitted atomic.Int64
 	done      atomic.Int64
 	hits      atomic.Int64
+	fused     atomic.Int64
 }
 
 // Option configures an Engine.
@@ -110,6 +115,7 @@ func New(parallelism int, opts ...Option) *Engine {
 		sem:         make(chan struct{}, parallelism),
 		parallelism: parallelism,
 		passes:      make(map[string]*Future[any]),
+		queued:      make(map[string][]*queuedUnit),
 	}
 	for _, o := range opts {
 		o(e)
@@ -125,6 +131,10 @@ type Stats struct {
 	Submitted int64 // units submitted (including cache hits)
 	Done      int64 // units completed
 	CacheHits int64 // units served from the memo cache
+	// Fused counts units settled by a pass that another unit's worker
+	// claimed them into. It depends on goroutine scheduling, so unlike
+	// the counters above it is kept out of run reports.
+	Fused int64
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -133,6 +143,7 @@ func (e *Engine) Stats() Stats {
 		Submitted: e.submitted.Load(),
 		Done:      e.done.Load(),
 		CacheHits: e.hits.Load(),
+		Fused:     e.fused.Load(),
 	}
 }
 

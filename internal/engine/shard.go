@@ -191,7 +191,9 @@ func shardCount(f *trace.File, n int) int {
 
 // runSharded executes a unit over its backing file under plan.
 func (u Unit) runSharded(e *Engine, ctx context.Context, f *trace.File, plan ShardPlan, label string) (*core.Result, error) {
-	return RunSharded(e, ctx, f, u.Refs, plan, label, u.newSimulator)
+	return RunSharded(e, ctx, f, u.Refs, plan, label, func() (*core.Simulator, error) {
+		return newSimulator([]Unit{u})
+	})
 }
 
 // StaticWSSSharded computes a static working-set pass over the first

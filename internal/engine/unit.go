@@ -97,11 +97,14 @@ func (p PolicySpec) key() string {
 }
 
 // Unit is one memoizable unit of simulation work: one workload trace
-// driven through one policy and at most one TLB configuration. Units
-// are the scheduling and deduplication granularity of the engine —
-// experiments that share a (workload, refs, policy, TLB-config) tuple
-// simulate it once per Engine, no matter how their multi-TLB passes
-// were originally grouped.
+// driven through one policy and at most one TLB configuration. The
+// Unit is the engine's memo key and scheduling record: experiments that
+// share a (workload, refs, policy, TLB-config) tuple get one result per
+// Engine, no matter how their multi-TLB passes were originally grouped.
+// What executes is a fused pass: a worker that takes a two-size or
+// ladder unit also claims every queued unit of the same (workload,
+// refs, policy) and drives all their TLBs through one trace and policy
+// pass (see Pass).
 type Unit struct {
 	// Workload is the registered program name (workload.Get).
 	Workload string
@@ -144,27 +147,48 @@ func (u Unit) Key() (string, error) {
 	return b.String(), nil
 }
 
-// newSimulator builds a fresh simulator for the unit: its own policy
-// and TLB instances, so shard workers running the same unit in parallel
-// share nothing.
-func (u Unit) newSimulator() (*core.Simulator, error) {
-	pol, err := u.Policy.New()
+// fuseGroup names the units that may share one simulation pass: the
+// (workload, refs, policy) of a two-size or ladder unit without a walk
+// model. The TLB and the WSS flag are left out on purpose — they are
+// what a fused pass fans out over — so this is not a memo key. Every
+// other unit (single-size, walk) is a group of one, named by its key:
+// a single-size pass is so cheap per reference that fusing it only
+// lengthens the batches of the pass it joins, and the walk model hangs
+// off the first TLB of a pass.
+func (u Unit) fuseGroup(key string) string {
+	if u.Policy.Single != 0 || u.Walk != nil {
+		return key
+	}
+	return fmt.Sprintf("fuse w=%s refs=%d pol=%s", u.Workload, u.Refs, u.Policy.key())
+}
+
+// newSimulator builds a fresh simulator for the units of one fuse
+// group: their policy, each unit's TLB in unit order, the WSS
+// calculator when any unit asks for it, and the walk model of a walk
+// unit (always a group of one). Every call builds its own instances, so
+// shard workers running the same unit in parallel share nothing.
+func newSimulator(units []Unit) (*core.Simulator, error) {
+	pol, err := units[0].Policy.New()
 	if err != nil {
 		return nil, err
 	}
 	var tlbs []tlb.TLB
-	if u.TLB != nil {
-		t, err := tlb.New(*u.TLB)
-		if err != nil {
-			return nil, err
+	withWSS := false
+	for _, u := range units {
+		if u.TLB != nil {
+			t, err := tlb.New(*u.TLB)
+			if err != nil {
+				return nil, err
+			}
+			tlbs = append(tlbs, t)
 		}
-		tlbs = []tlb.TLB{t}
+		withWSS = withWSS || u.WSS
 	}
 	var opts []core.Option
-	if u.WSS {
+	if withWSS {
 		opts = append(opts, core.WithWSS())
 	}
-	if u.Walk != nil {
+	if u := units[0]; u.Walk != nil {
 		if u.TLB == nil {
 			return nil, fmt.Errorf("engine: a walk-model unit needs a TLB")
 		}
@@ -179,18 +203,180 @@ func (u Unit) newSimulator() (*core.Simulator, error) {
 	return core.NewSimulator(pol, tlbs, opts...), nil
 }
 
-// run executes the unit. The returned Result has exactly one TLBResult
-// when u.TLB is set, none otherwise.
-func (u Unit) run(ctx context.Context) (*core.Result, error) {
-	s, err := workload.Get(u.Workload)
+// runFused executes the units of one fuse group as one pass and returns
+// each unit's result exactly as a pass of that unit alone would: a lone
+// unit's result as is, otherwise the pass split by core.Result.Part.
+// An error is every unit's: the units share workload, policy and trace,
+// and their TLB configs already normalized when Pass keyed them.
+func runFused(ctx context.Context, units []Unit) ([]*core.Result, error) {
+	s, err := workload.Get(units[0].Workload)
 	if err != nil {
 		return nil, err
 	}
-	sim, err := u.newSimulator()
+	sim, err := newSimulator(units)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(ctx, s.New(u.Refs))
+	res, err := sim.Run(ctx, s.New(units[0].Refs))
+	if err != nil {
+		return nil, err
+	}
+	if len(units) == 1 {
+		return []*core.Result{res}, nil
+	}
+	parts := make([]*core.Result, len(units))
+	next := 0 // the pass's TLBs are the units' TLBs in unit order
+	for i, u := range units {
+		ti := -1
+		if u.TLB != nil {
+			ti = next
+			next++
+		}
+		parts[i] = res.Part(ti, u.WSS)
+	}
+	return parts, nil
+}
+
+// queuedUnit is a submitted unit that has not started: it waits in its
+// fuse group for a pool slot, its own or a claiming worker's.
+type queuedUnit struct {
+	u      Unit
+	key    string
+	group  string
+	ctx    context.Context // the submitter's
+	f      *Future[*core.Result]
+	shared *Future[any] // the memo entry
+
+	// claimed is set under Engine.mu, and wake closed, when a worker
+	// takes the unit into its pass.
+	claimed bool
+	wake    chan struct{}
+}
+
+// submitUnit memoizes u under key and queues it in its fuse group. The
+// unit's goroutine then waits for a slot; whichever unit of the group
+// gets one first claims the whole queued group and runs it as one pass
+// (runGroup). Memo hits, events and eviction on failure behave as for
+// any keyed unit.
+func (e *Engine) submitUnit(ctx context.Context, u Unit, key string) *Future[*core.Result] {
+	e.submitted.Add(1)
+	e.mu.Lock()
+	if cached, ok := e.passes[key]; ok {
+		e.mu.Unlock()
+		e.hits.Add(1)
+		return adapt[*core.Result](ctx, key, e, cached)
+	}
+	q := &queuedUnit{
+		u: u, key: key, group: u.fuseGroup(key), ctx: ctx,
+		f: newFuture[*core.Result](), shared: newFuture[any](),
+		wake: make(chan struct{}),
+	}
+	e.passes[key] = q.shared
+	e.queued[q.group] = append(e.queued[q.group], q)
+	e.mu.Unlock()
+	go e.await(q)
+	return q.f
+}
+
+// await waits for a pool slot on q's behalf. With the slot it claims
+// q's group and runs it; if another worker claims q first, that worker
+// settles it; if q's submitter gives up while q is still queued, q
+// fails with the context's error.
+func (e *Engine) await(q *queuedUnit) {
+	select {
+	case e.sem <- struct{}{}:
+	case <-q.wake:
+		return
+	case <-q.ctx.Done():
+		e.mu.Lock()
+		if q.claimed {
+			e.mu.Unlock()
+			return
+		}
+		e.dequeueLocked(q)
+		e.mu.Unlock()
+		e.settle(q, nil, q.ctx.Err())
+		return
+	}
+	defer e.release()
+	e.mu.Lock()
+	if q.claimed {
+		e.mu.Unlock()
+		return
+	}
+	group := e.queued[q.group]
+	delete(e.queued, q.group)
+	for _, o := range group {
+		o.claimed = true
+		close(o.wake)
+	}
+	e.mu.Unlock()
+	e.runGroup(q, group)
+}
+
+// dequeueLocked removes q from its group. The caller holds e.mu.
+func (e *Engine) dequeueLocked(q *queuedUnit) {
+	group := e.queued[q.group]
+	for i, o := range group {
+		if o == q {
+			group = append(group[:i], group[i+1:]...)
+			break
+		}
+	}
+	if len(group) == 0 {
+		delete(e.queued, q.group)
+	} else {
+		e.queued[q.group] = group
+	}
+}
+
+// runGroup runs the claimed group as one pass under the claimer's
+// context and settles each unit. If that context was canceled, the
+// claimed units whose own submitters are still live run again, as a
+// group of their own on the same slot, so one submitter's cancellation
+// never fails another's units.
+func (e *Engine) runGroup(claimer *queuedUnit, group []*queuedUnit) {
+	ctx := claimer.ctx
+	units := make([]Unit, len(group))
+	for i, q := range group {
+		units[i] = q.u
+	}
+	parts, err := runFused(ctx, units)
+	var live []*queuedUnit
+	for i, q := range group {
+		switch {
+		case err == nil:
+			e.settle(q, parts[i], nil)
+		case q != claimer && ctx.Err() != nil && q.ctx.Err() == nil:
+			live = append(live, q)
+			continue
+		default:
+			e.settle(q, nil, err)
+		}
+		if q != claimer {
+			e.fused.Add(1)
+		}
+	}
+	if len(live) > 0 {
+		e.runGroup(live[0], live)
+	}
+}
+
+// settle completes a unit: on success it records the counters and
+// publishes the result to the submitter and the memo entry; on failure
+// it evicts the entry so a later submission retries.
+func (e *Engine) settle(q *queuedUnit, res *core.Result, err error) {
+	defer close(q.shared.done)
+	defer close(q.f.done)
+	if err != nil {
+		q.f.err, q.shared.err = err, err
+		e.evict(q.key)
+		e.emit(q.key, false, err)
+		return
+	}
+	e.Record(q.key, res.Counters)
+	q.f.val, q.shared.val = res, res
+	e.emit(q.key, false, nil)
 }
 
 // PassSpec describes a pass of one policy over one workload trace
@@ -233,10 +419,14 @@ func (p PassSpec) Units() []Unit {
 	return units
 }
 
-// Pass submits the spec's units to the pool and returns a future of the
-// merged result. Units already computed (or in flight) for this Engine
-// are shared, not re-simulated. The merged Result must be treated as
-// read-only: its TLB entries may be shared with other passes.
+// Pass submits the spec's units and returns a future of the merged
+// result. Units already computed (or in flight) for this Engine are
+// shared, not re-simulated. The rest queue in their fuse groups, where
+// a worker running one two-size or ladder unit also runs every queued
+// unit of the same (workload, refs, policy) — from this spec or any
+// other — in the same trace and policy pass. The merged Result must be
+// treated as read-only: its TLB entries may be shared with other
+// passes.
 func (e *Engine) Pass(ctx context.Context, spec PassSpec) *Future[*core.Result] {
 	units := spec.Units()
 	futs := make([]*Future[*core.Result], len(units))
@@ -261,13 +451,7 @@ func (e *Engine) Pass(ctx context.Context, spec PassSpec) *Future[*core.Result] 
 			})
 			continue
 		}
-		futs[i] = keyed(e, ctx, key, func(ctx context.Context) (*core.Result, error) {
-			res, err := u.run(ctx)
-			if err == nil {
-				e.Record(key, res.Counters)
-			}
-			return res, err
-		})
+		futs[i] = e.submitUnit(ctx, u, key)
 	}
 	merged := newFuture[*core.Result]()
 	go func() {

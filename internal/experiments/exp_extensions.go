@@ -143,8 +143,8 @@ func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 
 // tlbSweepRow carries one workload's all-associativity miss curves.
 type tlbSweepRow struct {
-	instrs   uint64
-	m4, m32  []uint64
+	instrs  uint64
+	m4, m32 []uint64
 }
 
 // TLBSweep uses all-associativity simulation to sweep fully associative

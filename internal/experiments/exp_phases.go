@@ -37,8 +37,8 @@ uniform  base=64M size=64K align=8 weight=0.4
 
 // phasesRun is one policy variant's outcome on the phased program.
 type phasesRun struct {
-	cpi, avgWSS     float64
-	promos, demos   uint64
+	cpi, avgWSS   float64
+	promos, demos uint64
 }
 
 // Phases compares the dynamic policy with and without demotion, and the

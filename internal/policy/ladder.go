@@ -87,10 +87,10 @@ func (c LadderConfig) Validate() error {
 
 // LadderStats counts N-level policy activity, indexed by size class.
 type LadderStats struct {
-	Refs        uint64                            // references observed
-	RefsByClass [addr.MaxSizeClasses]uint64       // references landing on each class
-	Promotions  [addr.MaxSizeClasses]uint64       // promotions *into* class k (k >= 1)
-	Demotions   [addr.MaxSizeClasses]uint64       // demotions *out of* class k (k >= 1)
+	Refs        uint64                      // references observed
+	RefsByClass [addr.MaxSizeClasses]uint64 // references landing on each class
+	Promotions  [addr.MaxSizeClasses]uint64 // promotions *into* class k (k >= 1)
+	Demotions   [addr.MaxSizeClasses]uint64 // demotions *out of* class k (k >= 1)
 	//paperlint:gauge regions currently mapped at class k; last-writer on Merge, kept on Sub
 	Mapped [addr.MaxSizeClasses]int
 }
